@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="defoutlier",
         description="Outlier detection in disjunction-free default theories.",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker bound (evaluation is sequential)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_common(p, theory=True):
@@ -117,9 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    if args.jobs < 1:
-        raise InvalidQueryError("--jobs must be >= 1")
-
     if args.verb == "classify":
         frag = classify(_read_theory(args.theory))
         suffix = " (normal)" if frag.normal and frag.tag == "DF" else ""

@@ -15,13 +15,15 @@ prerequisite may be omitted entirely ("default : b / b.").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import ParseError, ReservedLetterError
 
 # Letter prefixes used for fresh letters in generated theories; rejected in
 # ordinary input so user letters can never collide with generated ones.
 RESERVED_PREFIXES = ("_y", "_c", "_l", "_f")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, order=True)
@@ -138,41 +140,62 @@ def normal_rule(pre: str, concl: str) -> DefaultRule:
     return rule(pre, concl, concl)
 
 
+class RuleBase(dict):
+    """Rule-level items of one deduplicated defaults tuple.
+
+    Every fact-set variant of a theory shares its rule base.  ``compiled``
+    fills it lazily, keyed by the function that computes each item from the
+    rules.  Two threads filling the same item at once may both compute it,
+    but only to equal values.
+    """
+
+
+def compiled(theory: "DefaultTheory", build: Callable[[tuple[DefaultRule, ...]], T]) -> T:
+    """``build(theory.defaults)``, computed once per rule base and kept."""
+    items = theory._rules
+    try:
+        return items[build]
+    except KeyError:
+        item = items[build] = build(theory.defaults)
+        return item
+
+
+def _rule_letters(defaults: tuple[DefaultRule, ...]) -> frozenset[str]:
+    return frozenset().union(*(d.letters() for d in defaults))
+
+
 @dataclass(frozen=True)
 class DefaultTheory:
     """A finite default theory (D, W) over literal conjunctions.
 
     Rules are kept in order but deduplicated (set semantics); facts are a
-    literal set.  Instances are immutable and safe to share.
+    literal set.  Instances are immutable and safe to share.  Fact-set
+    variants made by ``with_facts`` and ``remove_facts`` share one
+    ``RuleBase``, which takes no part in equality, hashing or ``repr``.
     """
 
     defaults: tuple[DefaultRule, ...]
     facts: frozenset[Literal]
+    _rules: RuleBase = field(init=False, compare=False, repr=False)
 
     def __init__(self, defaults: Iterable[DefaultRule], facts: Iterable[Literal]):
-        seen: dict[DefaultRule, None] = {}
-        for d in defaults:
-            seen.setdefault(d)
-        # Reuse an already-deduplicated tuple so fact-set variants keep the
-        # same defaults object (classification and fast-backend caches key
-        # on its identity).
-        if isinstance(defaults, tuple) and len(seen) == len(defaults):
-            object.__setattr__(self, "defaults", defaults)
-        else:
-            object.__setattr__(self, "defaults", tuple(seen))
+        deduplicated = tuple(dict.fromkeys(defaults))
+        object.__setattr__(self, "defaults", deduplicated)
         object.__setattr__(self, "facts", frozenset(facts))
+        object.__setattr__(self, "_rules", RuleBase())
 
     def letters(self) -> frozenset[str]:
-        out = set(lett(self.facts))
-        for d in self.defaults:
-            out |= d.letters()
-        return frozenset(out)
+        return compiled(self, _rule_letters) | lett(self.facts)
 
     def with_facts(self, facts: Iterable[Literal]) -> "DefaultTheory":
-        return DefaultTheory(self.defaults, facts)
+        variant = object.__new__(DefaultTheory)
+        object.__setattr__(variant, "defaults", self.defaults)
+        object.__setattr__(variant, "facts", frozenset(facts))
+        object.__setattr__(variant, "_rules", self._rules)
+        return variant
 
     def remove_facts(self, removed: Iterable[Literal]) -> "DefaultTheory":
-        return DefaultTheory(self.defaults, self.facts - frozenset(removed))
+        return self.with_facts(self.facts - frozenset(removed))
 
     def __iter__(self) -> Iterator[DefaultRule]:
         return iter(self.defaults)
@@ -195,35 +218,23 @@ class Fragment:
     is_dnu: bool
 
 
-# Fragments depend only on the rules; fact-set variants of one theory share
-# their defaults tuple, so cache by its identity.
-_fragment_cache: dict[int, tuple[object, Fragment]] = {}
-
-
 def classify(theory: DefaultTheory) -> Fragment:
     """Return the most specific fragment tag for a theory."""
-    hit = _fragment_cache.get(id(theory.defaults))
-    if hit is not None and hit[0] is theory.defaults:
-        return hit[1]
-    frag = _classify_rules(theory)
-    if len(_fragment_cache) > 256:
-        _fragment_cache.clear()
-    _fragment_cache[id(theory.defaults)] = (theory.defaults, frag)
-    return frag
+    return compiled(theory, _classify_rules)
 
 
-def _classify_rules(theory: DefaultTheory) -> Fragment:
-    normal = all(d.normal for d in theory.defaults)
+def _classify_rules(defaults: tuple[DefaultRule, ...]) -> Fragment:
+    normal = all(d.normal for d in defaults)
 
     def unary(d: DefaultRule) -> bool:
         return d.normal and len(d.prerequisite) <= 1 and len(d.consequent) == 1
 
-    is_nmu = all(unary(d) for d in theory.defaults)
+    is_nmu = all(unary(d) for d in defaults)
     is_nu = is_nmu and all(
-        all(p.positive for p in d.prerequisite) for d in theory.defaults
+        all(p.positive for p in d.prerequisite) for d in defaults
     )
     is_dnu = is_nmu and all(
-        all(not p.positive for p in d.prerequisite) for d in theory.defaults
+        all(not p.positive for p in d.prerequisite) for d in defaults
     )
     if is_nu:
         tag = "NU"

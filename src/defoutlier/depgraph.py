@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .core import DefaultTheory, Literal, lett
+from .core import DefaultRule, DefaultTheory, Literal, compiled, lett
 
 
 @dataclass(frozen=True)
 class DependencyGraph:
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str]]
-
-    def successors(self, x: str) -> frozenset[str]:
-        return frozenset(b for a, b in self.edges if a == x)
 
 
 @dataclass(frozen=True)
@@ -32,25 +29,28 @@ class SccDecomposition:
     components: tuple[frozenset[str], ...]
     tightness: int
 
-    def component_index(self, letter: str) -> int:
-        for i, comp in enumerate(self.components):
-            if letter in comp:
-                return i
-        raise KeyError(letter)
 
-
-def build_graph(theory: DefaultTheory) -> DependencyGraph:
-    """Dependency graph over all letters of the theory.
+def _adjacency(defaults: tuple[DefaultRule, ...]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Successor and predecessor lists of the dependency graph of the rules.
 
     Prerequisite-free rules contribute no edges.  For non-unary rules every
     prerequisite letter is connected to every consequent letter.
     """
-    edges: set[tuple[str, str]] = set()
-    for d in theory.defaults:
+    succ: dict[str, set[str]] = {}
+    pred: dict[str, set[str]] = {}
+    for d in defaults:
+        ys = lett(d.consequent)
         for x in lett(d.prerequisite):
-            for y in lett(d.consequent):
-                edges.add((x, y))
-    return DependencyGraph(theory.letters(), frozenset(edges))
+            succ.setdefault(x, set()).update(ys)
+            for y in ys:
+                pred.setdefault(y, set()).add(x)
+    return {x: sorted(v) for x, v in succ.items()}, {y: sorted(v) for y, v in pred.items()}
+
+
+def build_graph(theory: DefaultTheory) -> DependencyGraph:
+    """Dependency graph over all letters of the theory."""
+    succ, _ = compiled(theory, _adjacency)
+    return DependencyGraph(theory.letters(), frozenset((x, y) for x, ys in succ.items() for y in ys))
 
 
 def _tarjan(vertices: list[str], adj: dict[str, list[str]]) -> list[set[str]]:
@@ -144,16 +144,12 @@ def decompose(graph: DependencyGraph) -> SccDecomposition:
     return SccDecomposition(tuple(ordered), tight)
 
 
-def reachable_letters(graph: DependencyGraph, sources: Iterable[str]) -> frozenset[str]:
-    """Letters reachable from the sources, including the sources themselves."""
-    adj: dict[str, list[str]] = {}
-    for a, b in graph.edges:
-        adj.setdefault(a, []).append(b)
-    seen = {s for s in sources if s in graph.vertices}
+def reach(adjacency: Mapping[str, Iterable[str]], sources: Iterable[str]) -> frozenset[str]:
+    """The sources and every letter reachable from them along ``adjacency``."""
+    seen = set(sources)
     frontier = list(seen)
     while frontier:
-        v = frontier.pop()
-        for w in adj.get(v, []):
+        for w in adjacency.get(frontier.pop(), ()):
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
@@ -166,11 +162,14 @@ def influences(theory: DefaultTheory, s: Iterable[Literal], target: Literal) -> 
     Reachability is reflexive: a letter influences itself via the empty path,
     whether or not it occurs in the theory.
     """
-    letters = lett(s)
-    if target.letter in letters:
-        return True
-    graph = build_graph(theory)
-    return target.letter in reachable_letters(graph, letters)
+    succ, _ = compiled(theory, _adjacency)
+    return target.letter in reach(succ, lett(s))
+
+
+def influencing_letters(theory: DefaultTheory, targets: Iterable[str]) -> frozenset[str]:
+    """Letters with a (possibly empty) path to some target letter."""
+    _, pred = compiled(theory, _adjacency)
+    return reach(pred, targets)
 
 
 def tightness(theory: DefaultTheory) -> int:

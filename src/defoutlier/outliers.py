@@ -31,7 +31,7 @@ from .core import (
     lett,
     negate_all,
 )
-from .depgraph import build_graph, decompose
+from .depgraph import build_graph, decompose, influencing_letters
 from .errors import InvalidQueryError, ScopeError
 from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
 
@@ -172,23 +172,6 @@ def _subsets(pool: list[Literal], max_size: int | None = None) -> Iterable[tuple
         yield from itertools.combinations(pool, size)
 
 
-def _influencing_letters(theory: DefaultTheory, targets: frozenset[str]) -> frozenset[str]:
-    """Letters with a (possibly empty) path to any target letter."""
-    graph = build_graph(theory)
-    radj: dict[str, list[str]] = {}
-    for a, b in graph.edges:
-        radj.setdefault(b, []).append(a)
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for w in radj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
 def recognize_strong(
     theory: DefaultTheory,
     outlier: Iterable[Literal],
@@ -255,7 +238,7 @@ def _enumerate(
         stats.candidates_examined += 1
         if not _cond1(theory, s_set, backend, budget, stats):
             continue
-        influencers = _influencing_letters(theory, lett(s_set))
+        influencers = influencing_letters(theory, lett(s_set))
         core_results: dict[LiteralSet, bool] = {}
         rest = [l for l in facts_sorted if l not in s_set]
         for l_tuple in _subsets(rest, k):

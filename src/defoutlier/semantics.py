@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import DefaultTheory, Literal, classify, dualize, is_inconsistent
+from .core import DefaultTheory, Literal, classify, compiled, is_inconsistent
 from .errors import BudgetExceededError, ScopeError
 
 EXHAUSTIVE = "exhaustive"
@@ -390,37 +390,25 @@ class _NuEntailer:
         return not self._can_all_be_nonpositive(wpos, wneg, triggers)
 
 
-# Entailers keyed by rule-tuple identity: fact-set variants of one theory
-# share their defaults object, so repeated queries reuse the index.
-_entailer_cache: dict[int, tuple[object, "_NuEntailer"]] = {}
-
-
-def _get_entailer(defaults: tuple) -> "_NuEntailer":
-    hit = _entailer_cache.get(id(defaults))
-    if hit is not None and hit[0] is defaults:
-        return hit[1]
-    ent = _NuEntailer(defaults)
-    if len(_entailer_cache) > 64:
-        _entailer_cache.clear()
-    _entailer_cache[id(defaults)] = (defaults, ent)
-    return ent
+def _dual_entailer(defaults: Sequence) -> _NuEntailer:
+    return _NuEntailer([d.dual() for d in defaults])
 
 
 def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal]) -> bool:
     frag = classify(theory)
-    if frag.is_nu:
-        work, goal_lits = theory, list(goal)
-    elif frag.is_dnu:
-        work = dualize(theory)
-        goal_lits = [l.negate() for l in goal]
-    else:
+    if not (frag.is_nu or frag.is_dnu):
         raise ScopeError("fast backend requires an NU or DNU theory")
-    if is_inconsistent(work.facts):
-        return True
-    wpos = frozenset(l.letter for l in work.facts if l.positive)
-    wneg = frozenset(l.letter for l in work.facts if not l.positive)
-    ent = _get_entailer(work.defaults)
-    return all(ent.skeptical(wpos, wneg, q) for q in goal_lits)
+    pos = frozenset(l.letter for l in theory.facts if l.positive)
+    neg = frozenset(l.letter for l in theory.facts if not l.positive)
+    if pos & neg:
+        return True  # inconsistent facts entail everything
+    if frag.is_nu:
+        ent = compiled(theory, _NuEntailer)
+        return all(ent.skeptical(pos, neg, q) for q in goal)
+    # Answer over the dual (NU) rules: swap the fact polarities and negate
+    # the goal instead of building the dual theory.
+    ent = compiled(theory, _dual_entailer)
+    return all(ent.skeptical(neg, pos, q.negate()) for q in goal)
 
 
 def entails(

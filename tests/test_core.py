@@ -10,12 +10,15 @@ from defoutlier import (
     ReservedLetterError,
     classify,
     dualize,
+    entails,
     lit,
     lits,
     parse_theory,
     theory_to_text,
+    tightness,
 )
 from defoutlier.core import lett, normal_rule, rule
+from conftest import CELLPHONE
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +206,29 @@ def test_dualize_involution(credit_card, cellphone):
 
 def test_dualize_cellphone_is_dnu(cellphone):
     assert classify(dualize(cellphone)).tag == "DNU"
+
+
+# ---------------------------------------------------------------------------
+# Shared rule base
+# ---------------------------------------------------------------------------
+
+
+def test_fact_variants_share_one_rule_base(cellphone):
+    removed = cellphone.remove_facts(lits("CellUse", "MfC"))
+    variants = [removed, removed.with_facts(cellphone.facts), cellphone.with_facts([])]
+    assert all(v._rules is cellphone._rules for v in variants)
+    assert all(v.defaults is cellphone.defaults for v in variants)
+
+
+def test_rule_base_takes_no_part_in_equality(cellphone):
+    classify(cellphone)
+    entails(cellphone, lits("-MfC"))
+    tightness(cellphone)
+    fresh = parse_theory(CELLPHONE)
+    assert fresh._rules is not cellphone._rules
+    restored = cellphone.remove_facts(lits("CellUse")).with_facts(cellphone.facts)
+    for other in (fresh, restored):
+        assert other == cellphone
+        assert hash(other) == hash(cellphone)
+        assert repr(other) == repr(cellphone)
+    assert cellphone.remove_facts(lits("CellUse")) != fresh

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from defoutlier import (
     InvalidQueryError,
     ScopeError,
     dualize,
+    entails,
     enumerate_general,
     enumerate_strong,
     format_report_lines,
@@ -20,6 +24,8 @@ from defoutlier import (
     parse_theory,
     random_theory,
     recognize_strong,
+    semantics,
+    theory_to_text,
 )
 from conftest import ExhaustiveOracle, brute_force_outliers
 
@@ -260,3 +266,60 @@ def test_report_serialization(cellphone):
     assert record == (
         '{"outlier": ["CreditNumber"], "witnesses": [["MultipleIPs"]], "strong": true}'
     )
+
+
+# ---------------------------------------------------------------------------
+# Shared rule base across fact variants and threads
+# ---------------------------------------------------------------------------
+
+
+def _sorted_facts(theory):
+    return sorted(theory.facts, key=lambda l: (l.letter, not l.positive))
+
+
+def test_dnu_recognition_builds_one_entailer(monkeypatch):
+    built = []
+
+    class CountingEntailer(semantics._NuEntailer):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "_NuEntailer", CountingEntailer)
+    dual = dualize(random_theory("NU", 60, 80, 1, 808))
+    for fact in _sorted_facts(dual)[:6]:
+        recognize_strong(dual, [fact])
+    assert len(built) == 1
+
+
+def _answers(theory):
+    """Entailment and strong-witness answers over fact variants."""
+    facts = _sorted_facts(theory)[:8]
+    out = []
+    for s, l in zip(facts, facts[1:]):
+        variant = theory.remove_facts([s])
+        out.append(entails(variant, [s.negate()]))
+        out.append(entails(variant.remove_facts([l]), [s.negate()]))
+        out.append(is_strong_witness(theory, [l], [s]))
+    return out
+
+
+def test_concurrent_queries_match_sequential():
+    text = theory_to_text(random_theory("NU", 60, 80, 1, 808))
+
+    def fresh():
+        nu = parse_theory(text)
+        return [nu, dualize(nu)]
+
+    sequential = [_answers(t) for t in fresh()]
+    theories = fresh()
+    assert not any(t._rules for t in theories)  # nothing compiled yet
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(_answers, t) for t in theories + theories[::-1]]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == sequential + sequential[::-1]
