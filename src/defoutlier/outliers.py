@@ -9,9 +9,9 @@ Strong-outlier search exploits two structural facts: every inclusion-
 minimal strong witness has all of its letters inside a single strongly
 connected component of the dependency graph, and removing fact literals
 whose letters cannot reach the witness letters never changes the checks.
-The first restricts witness candidates; the second ("influence core"
-memoization) collapses outlier candidates that differ only by irrelevant
-padding onto one entailment check.
+The first restricts witness candidates; the second confines outlier checks
+to "cores" on the witness's influence cone, and pads each passing core with
+off-cone facts without another entailment.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class OutlierQuery:
 
 @dataclass
 class SearchStats:
-    """Counters: candidate pairs tested and entails() invocations made."""
+    """Counters: candidates tried and entails() invocations made.  Enumeration
+    counts witness candidates and influence-cone cores, not padded outliers."""
 
     candidates_examined: int = 0
     entailment_calls: int = 0
@@ -153,16 +154,17 @@ def _resolve_backend(theory: DefaultTheory, backend: str, op: str) -> str:
     return backend
 
 
+def _order(l: Literal) -> tuple[str, bool]:
+    return (l.letter, not l.positive)
+
+
 def _witness_pool(theory: DefaultTheory, exclude: LiteralSet) -> list[list[Literal]]:
     """Fact literals grouped by ordered SCC, excluding the outlier candidate."""
-    decomp = decompose(build_graph(theory))
-    pools = []
-    for comp in decomp.components:
-        pool = sorted(
-            (l for l in theory.facts - exclude if l.letter in comp),
-            key=lambda l: (l.letter, not l.positive),
-        )
-        pools.append(pool)
+    components = decompose(build_graph(theory)).components
+    comp_of = {v: i for i, comp in enumerate(components) for v in comp}
+    pools: list[list[Literal]] = [[] for _ in components]
+    for l in sorted(theory.facts - exclude, key=_order):
+        pools[comp_of[l.letter]].append(l)
     return pools
 
 
@@ -222,7 +224,8 @@ def _enumerate(
     op = "enumerate_strong" if strong else "enumerate_general"
     backend = _resolve_backend(theory, backend, op)
     stats = SearchStats()
-    facts_sorted = sorted(theory.facts, key=lambda l: (l.letter, not l.positive))
+    facts_sorted = sorted(theory.facts, key=_order)
+    fact_of = {l.letter: l for l in facts_sorted}  # consistent: one fact per letter
     cond2 = _cond2_strong if strong else _cond2_general
 
     if strong:
@@ -238,27 +241,25 @@ def _enumerate(
         stats.candidates_examined += 1
         if not _cond1(theory, s_set, backend, budget, stats):
             continue
-        influencers = influencing_letters(theory, lett(s_set))
-        core_results: dict[LiteralSet, bool] = {}
-        rest = [l for l in facts_sorted if l not in s_set]
-        for l_tuple in _subsets(rest, k):
+        # Incremental lemma: only facts on the influence cone of S matter.
+        cone = influencing_letters(theory, lett(s_set))
+        near = sorted({fact_of[x] for x in cone if x in fact_of} - s_set, key=_order)
+        far = None
+        for core in map(frozenset, _subsets(near, k)):
             stats.candidates_examined += 1
-            l_set = frozenset(l_tuple)
-            core = frozenset(x for x in l_set if x.letter in influencers)
-            if not core:
-                continue  # removing only non-influencing facts cannot break cond1
-            ok = core_results.get(core)
-            if ok is None:
-                ok = cond2(theory, core, s_set, backend, budget, stats)
-                core_results[core] = ok
-            if ok:
-                hits.setdefault(l_set, []).append(s_set)
+            if not cond2(theory, core, s_set, backend, budget, stats):
+                continue
+            if far is None:
+                far = [l for l in facts_sorted if l.letter not in cone]
+            hits.setdefault(core, []).append(s_set)
+            for pad in _subsets(far, k - len(core)):
+                hits.setdefault(core | frozenset(pad), []).append(s_set)
 
     reports = [
         OutlierReport(l_set, tuple(wits), strong, stats)
         for l_set, wits in hits.items()
     ]
-    reports.sort(key=lambda r: sorted((x.letter, not x.positive) for x in r.outlier))
+    reports.sort(key=lambda r: sorted(map(_order, r.outlier)))
     return tuple(reports)
 
 
@@ -271,7 +272,8 @@ def enumerate_strong(
     """All nonempty strong outlier sets of size at most k, with witnesses.
 
     Witness candidates range over single-SCC fact subsets in component
-    order; outlier candidates over all fact subsets of size up to k.
+    order; outlier cores over fact subsets of size up to k on each witness's
+    influence cone, and passing cores are padded with off-cone facts.
     """
     return _enumerate(theory, k, backend, budget, strong=True, h=None)
 
@@ -326,15 +328,9 @@ def format_report_lines(report: OutlierReport, all_witnesses: bool = True) -> li
 
 def format_report_record(report: OutlierReport) -> str:
     """One machine-readable JSON record per (outlier, witness-list)."""
-
-    def key(l: Literal) -> tuple[str, bool]:
-        return (l.letter, not l.positive)
-
     record = {
-        "outlier": [str(l) for l in sorted(report.outlier, key=key)],
-        "witnesses": [
-            [str(l) for l in sorted(w, key=key)] for w in report.witnesses
-        ],
+        "outlier": [str(l) for l in sorted(report.outlier, key=_order)],
+        "witnesses": [[str(l) for l in sorted(w, key=_order)] for w in report.witnesses],
         "strong": report.strong,
     }
     return json.dumps(record)

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,6 +11,8 @@ from defoutlier import (
     FAST,
     InvalidQueryError,
     ScopeError,
+    build_graph,
+    decompose,
     dualize,
     entails,
     enumerate_general,
@@ -18,6 +21,7 @@ from defoutlier import (
     format_report_record,
     is_strong_witness,
     is_witness,
+    lett,
     lits,
     minimal_strong_witnesses,
     negate_all,
@@ -150,11 +154,16 @@ def test_enumerate_general_h1_equals_strong_singletons():
 
 
 def test_enumerate_matches_brute_force_small():
+    # enumerate_strong reports exactly the strong witnesses inside one SCC.
     for seed in range(12):
         t = random_theory("NU", 5, 7, 2, seed=seed)
+        components = decompose(build_graph(t)).components
         got = {r.outlier: set(r.witnesses) for r in enumerate_strong(t, 2)}
-        want = brute_force_outliers(t, 2, strong=True)
-        assert set(got) == set(want)
+        want = {
+            l: {s for s in ws if any(lett(s) <= c for c in components)}
+            for l, ws in brute_force_outliers(t, 2, strong=True).items()
+        }
+        assert got == want
 
 
 def test_enumerate_general_matches_brute_force_small():
@@ -162,14 +171,27 @@ def test_enumerate_general_matches_brute_force_small():
         t = random_theory("NU", 5, 7, 2, seed=seed)
         got = {r.outlier: set(r.witnesses) for r in enumerate_general(t, 2, 2)}
         want = brute_force_outliers(t, 2, strong=False, h=2)
-        assert set(got) == set(want)
-        for l in got:
-            assert got[l] == set(want[l])
+        assert got == {l: set(ws) for l, ws in want.items()}
+
+
+def test_enumerate_padding_invariance(cellphone):
+    # Facts on letters no rule mentions lie outside every witness's influence
+    # cone: each adds one failing cond1 (its own singleton SCC) and no core,
+    # and pads every outlier without changing its witnesses.
+    k, m = 2, 30
+    isolated = lits(*(f"iso{i}" for i in range(m)))
+    padded = cellphone.with_facts(cellphone.facts | isolated)
+    base = enumerate_strong(cellphone, k)
+    got = enumerate_strong(padded, k)
+    base_stats, got_stats = base[0].search_stats, got[0].search_stats
+    assert got_stats.entailment_calls == base_stats.entailment_calls + m
+    assert got_stats.candidates_examined <= base_stats.candidates_examined + m
+    pads = [frozenset(p) for j in range(k) for p in itertools.combinations(isolated, j)]
+    want = {r.outlier | p: r.witnesses for r in base for p in pads if len(r.outlier | p) <= k}
+    assert {r.outlier: r.witnesses for r in got} == want
 
 
 def test_enumerate_cost_bound(cellphone):
-    from defoutlier import build_graph, decompose
-
     k = 2
     reports = enumerate_strong(cellphone, k)
     stats = reports[0].search_stats
