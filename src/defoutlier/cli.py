@@ -54,6 +54,12 @@ def _literal_list(text: str) -> frozenset[Literal]:
     return frozenset(out)
 
 
+def _budget(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"budget must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defoutlier",
@@ -63,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, theory=True):
         p.add_argument("--backend", choices=["auto", "exhaustive", "fast"], default="auto")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node cap for exhaustive search")
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="node cap for exhaustive search")
         if theory:
             p.add_argument("theory", help="theory file path, or - for stdin")
 

@@ -4,19 +4,21 @@ Two entailment backends are provided.  The exhaustive backend enumerates
 every signature set by depth-first search over rule application sequences,
 branching on applying versus permanently blocking each applicable rule and
 validating candidates against the closure and justification-coherence
-conditions; it is total (up to a configurable node budget) on all DF
-theories.  The fast backend answers skeptical literal queries on normal
-unary (NU) and dual normal unary (DNU) theories in polynomial time by
-searching for a countermodel extension: it grows the set of letters that
-must be kept non-positive, re-checking blockability against a positive
-reachability fixpoint until the requirement set stabilizes or becomes
-unsatisfiable.  Both backends agree wherever the fast one is applicable;
-the test suite enforces this on large seeded random families.
+conditions.  It prunes every branch where an applied rule is refuted or a
+blocked rule can no longer end satisfied or refuted, and it is total (up to
+a configurable node budget) on all DF theories.  The fast backend answers
+skeptical literal queries on normal unary (NU) and dual normal unary (DNU)
+theories in polynomial time by searching for a countermodel extension: it
+grows the set of letters that must be kept non-positive, re-checking
+blockability against a positive reachability fixpoint until the requirement
+set stabilizes or becomes unsatisfiable.  Both backends agree wherever the
+fast one applies, as the test suite checks on large seeded random families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import DefaultTheory, Literal, classify, compiled, is_inconsistent
@@ -41,7 +43,7 @@ class SignatureSet:
     literals: frozenset[Literal]
     generating: tuple[int, ...]
 
-    @property
+    @cached_property
     def inconsistent(self) -> bool:
         return is_inconsistent(self.literals)
 
@@ -88,56 +90,66 @@ class _MaskIndex:
         # Mask of the negations of the justification literals: a rule is
         # refuted by E exactly when this intersects E.
         self.neg_just = [mask(l.negate() for l in d.justification) for d in theory.defaults]
-        self.n_rules = len(theory.defaults)
+        # Rules whose justification contradicts itself can never fire.
+        self.rules = [
+            i for i, d in enumerate(theory.defaults) if not is_inconsistent(d.justification)
+        ]
+        self.positive_bits = sum(1 << 2 * i for i in range(len(self.letters)))
 
     def to_literals(self, m: int) -> frozenset[Literal]:
-        out = []
-        i = 0
-        while m:
-            if m & 1:
-                out.append(Literal(self.letters[i // 2], i % 2 == 0))
-            m >>= 1
-            i += 1
-        return frozenset(out)
+        return frozenset(l for l, bit in self.lit_id.items() if m >> bit & 1)
 
 
 def _iter_masks(idx: _MaskIndex, budget: int):
     """Yield each distinct signature set (as a bitmask) with one generating
-    sequence, in depth-first apply-before-block order."""
+    sequence, in depth-first apply-before-block order.
+
+    A node is pruned once no leaf below it can be valid: an applied rule is
+    refuted (E only grows; an inconsistent E refutes every rule), or a
+    blocked rule is neither satisfied nor refuted by ``upper``, the closure
+    of E under the rules neither blocked nor refuted, which contains every E
+    reachable below the node.
+    """
     pre, concl, neg_just = idx.pre, idx.concl, idx.neg_just
-    n = idx.n_rules
+    rules, positive = idx.rules, idx.positive_bits
     seen: set[int] = set()
     nodes = 0
-    # Stack entries: (literal mask, blocked-rules mask, applied indices).
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(idx.w_mask, 0, ())]
+    # Stack entries: (E, blocked-rules mask, applied indices, their neg_just union).
+    stack: list[tuple[int, int, tuple[int, ...], int]] = [(idx.w_mask, 0, (), 0)]
     while stack:
-        e, blocked, applied = stack.pop()
+        e, blocked, applied, refuters = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(budget)
+        if refuters & e or e >> 1 & e & positive:
+            continue
         act = None
-        for i in range(n):
+        live: list[int] = []
+        held: list[int] = []
+        for i in rules:
+            if concl[i] & ~e == 0 or neg_just[i] & e:
+                continue  # satisfied or refuted for good
             if blocked >> i & 1:
+                held.append(i)
                 continue
-            if concl[i] & ~e == 0 or pre[i] & ~e or neg_just[i] & e:
-                continue
-            act = i
-            break
-        if act is None:
-            if e in seen:
-                continue
-            if any(neg_just[i] & e for i in applied):
-                continue
-            if any(
-                pre[i] & ~e == 0 and concl[i] & ~e and not (neg_just[i] & e)
-                for i in range(n)
-            ):
-                continue
+            if act is None and pre[i] & ~e == 0:
+                act = i
+            live.append(i)
+        upper, grew = e, bool(held) and act is not None
+        while grew:
+            grew = False
+            for i in live:
+                if concl[i] & ~upper and pre[i] & ~upper == 0:
+                    upper |= concl[i]
+                    grew = True
+        if any(concl[i] & ~upper and not neg_just[i] & upper for i in held):
+            continue
+        if act is not None:
+            stack.append((e, blocked | (1 << act), applied, refuters))
+            stack.append((e | concl[act], blocked, applied + (act,), refuters | neg_just[act]))
+        elif e not in seen:
             seen.add(e)
             yield e, applied
-        else:
-            stack.append((e, blocked | (1 << act), applied))
-            stack.append((e | concl[act], blocked, applied + (act,)))
 
 
 def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[SignatureSet, ...]:
@@ -433,11 +445,7 @@ def entails(
         if is_inconsistent(theory.facts):
             return True
         idx = _MaskIndex(theory)
-        bits = [idx.lit_id.get(l) for l in goal]
-        # Letters absent from the theory cannot appear in any extension.
-        if any(b is None for b in bits):
-            return not any(True for _ in _iter_masks(idx, budget))
-        return all(
-            all(e >> b & 1 for b in bits) for e, _ in _iter_masks(idx, budget)
-        )
+        # A literal absent from the theory gets a bit that no extension holds.
+        need = sum({1 << idx.lit_id.get(l, 2 * len(idx.letters)) for l in goal})
+        return all(e & need == need for e, _ in _iter_masks(idx, budget))
     raise ValueError(f"unknown backend {backend!r}")

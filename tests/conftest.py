@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they are used to check:
 outlier brute forcing iterates raw (L, S) candidate pairs against the
 exhaustive extension enumerator, with extension sets memoized per fact
-variant.
+variant, and ``reiter_extensions`` pins that enumerator itself to Reiter's
+fixpoint definition without going through its search.
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ import itertools
 
 import pytest
 
-from defoutlier import DefaultTheory, Literal, extensions, lits, negate_all, parse_theory
+from defoutlier import (
+    DefaultTheory,
+    Literal,
+    extensions,
+    is_inconsistent,
+    lits,
+    negate_all,
+    parse_theory,
+)
 
 CREDIT_CARD = """
 fact CreditNumber & MultipleIPs.
@@ -102,4 +111,40 @@ def brute_force_outliers(theory: DefaultTheory, k: int, strong: bool, h: int | N
             s = frozenset(s_tuple)
             if oracle.is_witness(l, s, strong):
                 found.setdefault(l, []).append(s)
+    return found
+
+
+def reiter_extensions(theory: DefaultTheory) -> set[frozenset[Literal]]:
+    """Extensions by Reiter's definition, as literal sets, guessed and checked.
+
+    Every subset G of the rules is guessed as the generating set.  The guess
+    E = W | concl(G) is an extension iff it is consistent and E = Gamma(E),
+    the least literal set that contains W and the consequent of each rule
+    whose prerequisite it contains and whose justification is consistent
+    with E.  Inconsistent facts have the single inconsistent extension W,
+    which stands for every literal.
+    """
+    if is_inconsistent(theory.facts):
+        return {theory.facts}
+    rules = theory.defaults
+    guesses = {
+        theory.facts.union(*(d.consequent for d in g))
+        for size in range(len(rules) + 1)
+        for g in itertools.combinations(rules, size)
+    }
+    found: set[frozenset[Literal]] = set()
+    for e in guesses:
+        if is_inconsistent(e):
+            continue
+        usable = [d for d in rules if not is_inconsistent(e | d.justification)]
+        gamma = set(theory.facts)
+        grew = True
+        while grew:
+            grew = False
+            for d in usable:
+                if d.prerequisite <= gamma and not d.consequent <= gamma:
+                    gamma |= d.consequent
+                    grew = True
+        if gamma == e:
+            found.add(e)
     return found

@@ -114,6 +114,22 @@ def test_budget_exit_3(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_budget_below_one_exit_2(capsys, credit_file):
+    # A budget below 1 is a usage error, not an exhausted search, and the
+    # fast backend does not ignore it either.
+    for argv in (
+        ["extensions", "--budget", "0"],
+        ["extensions", "--budget", "-5"],
+        ["extensions", "--budget", "many"],
+        ["entails", "--backend", "fast", "--goal", "CreditNumber", "--budget", "-5"],
+    ):
+        code, out, err = run(capsys, *argv, credit_file)
+        assert code == 2, argv
+        assert out == ""
+        assert "budget must be a positive integer" in err
+    assert run(capsys, "extensions", "--budget", "1", credit_file)[0] == 0
+
+
 def test_reduce_entails_pipeline(capsys, tmp_path, monkeypatch):
     # unsatisfiable CNF: thm10 reduction entails the designated letter
     cnf = tmp_path / "phi.cnf"

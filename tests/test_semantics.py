@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,21 +8,30 @@ from defoutlier import (
     EXHAUSTIVE,
     FAST,
     BudgetExceededError,
+    Cnf3,
+    DefaultRule,
     DefaultTheory,
+    InfeasibleProfileError,
     Literal,
     ScopeError,
+    SignatureSet,
     brave_member,
+    build_thm10,
     dualize,
     entails,
     extensions,
     find_proof,
     is_extension,
+    is_inconsistent,
     lit,
     lits,
     parse_theory,
     random_theory,
+    theory_to_text,
 )
+from defoutlier import semantics
 from defoutlier.core import normal_rule
+from conftest import reiter_extensions
 
 TWO_EXT = "fact a. default a : -y / -y. default : y / y."
 
@@ -69,6 +80,92 @@ def test_budget_exceeded():
     t = random_theory("NU", 8, 12, 2, seed=3)
     with pytest.raises(BudgetExceededError):
         extensions(t, budget=3)
+
+
+def test_pruning_bounds_thm10_search():
+    # (x1)(-x1)(x1|x2|x3)(-x2|x4|x5)(x3|-x4|-x5) is unsatisfiable, so every
+    # extension holds the designated letter.  Without pruning the branches
+    # where a blocked rule can end neither satisfied nor refuted, the search
+    # visits 201 365 nodes; with it, 17 477.
+    phi = Cnf3(5, ((1, 1, 1), (-1, -1, -1), (1, 2, 3), (-2, 4, 5), (3, -4, -5)))
+    gen = build_thm10(phi)
+    assert entails(gen.theory, [gen.literal("l")], EXHAUSTIVE, budget=50_000)
+
+
+def test_signature_set_checks_consistency_once(monkeypatch):
+    calls = []
+    real = semantics.is_inconsistent
+    monkeypatch.setattr(semantics, "is_inconsistent", lambda ls: calls.append(ls) or real(ls))
+    sig = SignatureSet(lits("a", "-b"), ())
+    assert [sig.contains(lit(x)) for x in ("a", "b", "-b", "c")] == [True, False, True, False]
+    assert len(calls) == 1
+
+
+def _fragment_theories(per_fragment: int):
+    """Seeded random NU, DNU, NMU and DF theories of at most 10 rules; every
+    fourth one gets a fact contradicting another, so its facts are
+    inconsistent."""
+    rng = random.Random(4242)
+    for fragment in ("NU", "DNU", "NMU", "DF"):
+        made = 0
+        while made < per_fragment:
+            letters, rules = rng.randint(2, 6), rng.randint(2, 10)
+            tightness, seed = rng.randint(1, letters), rng.randrange(10**6)
+            try:
+                t = random_theory(fragment, letters, rules, tightness, seed)
+            except InfeasibleProfileError:
+                continue
+            made += 1
+            if made % 4 == 0 and t.facts:
+                t = t.with_facts(t.facts | {min(t.facts, key=str).negate()})
+            yield t
+
+
+def test_exhaustive_backend_matches_reiter_definition():
+    checked = 0
+    for t in _fragment_theories(100):
+        want = reiter_extensions(t)
+        exts = extensions(t)
+        assert len(exts) == len(want)
+        assert {e.literals for e in exts} == want
+        everything = is_inconsistent(t.facts)
+        letters = sorted(t.letters())
+        for x in letters + ["absent"]:
+            for q in (Literal(x, True), Literal(x, False)):
+                assert brave_member(t, q) == (everything or any(q in e for e in want))
+                assert entails(t, [q], EXHAUSTIVE) == (everything or all(q in e for e in want))
+        pair = lits(letters[0], "-" + letters[-1])
+        assert entails(t, pair, EXHAUSTIVE) == (everything or all(pair <= e for e in want))
+        checked += 1
+    assert checked == 400
+
+
+def test_exhaustive_backend_matches_reiter_on_non_normal_rules():
+    # Multi-literal, non-normal parts, some of them self-contradictory.
+    rng = random.Random(99)
+
+    def part(letters, lo, hi):
+        n = rng.randint(lo, hi)
+        return frozenset(Literal(rng.choice(letters), rng.random() < 0.6) for _ in range(n))
+
+    for _ in range(400):
+        letters = "abcd"[: rng.randint(2, 4)]
+        rules = [
+            DefaultRule(part(letters, 0, 2), part(letters, 1, 2), part(letters, 1, 2))
+            for _ in range(rng.randint(1, 7))
+        ]
+        t = DefaultTheory(rules, part(letters, 0, 2))
+        assert ext_sets(t) == reiter_extensions(t), theory_to_text(t)
+
+
+def test_inconsistent_candidate_is_no_extension():
+    # Applying both rules gives {a, b, -b}, whose deductive closure refutes
+    # the justification a; with consistent facts no extension is inconsistent.
+    assert extensions(parse_theory("default : a / a & b. default : a / -b.")) == ()
+
+
+def test_self_contradictory_justification_never_fires():
+    assert ext_sets(parse_theory("default : a & -a / -a.")) == {frozenset()}
 
 
 def test_signature_sets_satisfy_closure():
