@@ -48,7 +48,6 @@ from .oracles import (
     sat,
 )
 from .outliers import (
-    OutlierQuery,
     OutlierReport,
     SearchStats,
     enumerate_general,

@@ -22,7 +22,7 @@ from .core import (
 )
 from .depgraph import build_graph, decompose, to_dot
 from .errors import BudgetExceededError, InvalidQueryError, ParseError, ScopeError
-from .semantics import AUTO, DEFAULT_BUDGET, entails, extensions
+from .semantics import DEFAULT_BUDGET, entails, extensions
 
 
 def _read_text(path: str) -> str:

@@ -72,14 +72,20 @@ def negate_all(literals: Iterable[Literal]) -> frozenset[Literal]:
 
 
 def is_inconsistent(literals: Iterable[Literal]) -> bool:
-    """True iff the collection contains some literal and its negation."""
-    s = set(literals)
-    return any(l.negate() in s for l in s)
+    """True iff the collection contains some literal and its negation, that
+    is, iff its distinct literals outnumber their letters."""
+    s = frozenset(literals)
+    return len({l.letter for l in s}) < len(s)
+
+
+def literal_order(l: Literal) -> tuple[str, bool]:
+    """The canonical sort key: by letter, the positive literal first."""
+    return (l.letter, not l.positive)
 
 
 def format_literals(literals: Iterable[Literal]) -> str:
     """Canonical ``{a, -b}`` rendering, sorted by letter then polarity."""
-    ordered = sorted(literals, key=lambda l: (l.letter, not l.positive))
+    ordered = sorted(literals, key=literal_order)
     return "{" + ", ".join(str(l) for l in ordered) + "}"
 
 
@@ -118,7 +124,7 @@ class DefaultRule:
 
     def __str__(self) -> str:
         def conj(ls: frozenset[Literal]) -> str:
-            return " & ".join(str(l) for l in sorted(ls, key=lambda x: (x.letter, not x.positive)))
+            return " & ".join(str(l) for l in sorted(ls, key=literal_order))
 
         pre = conj(self.prerequisite)
         return f"{pre}{' ' if pre else ''}: {conj(self.justification)} / {conj(self.consequent)}"
@@ -212,7 +218,6 @@ class Fragment:
 
     tag: str
     normal: bool
-    is_df: bool
     is_nmu: bool
     is_nu: bool
     is_dnu: bool
@@ -244,7 +249,7 @@ def _classify_rules(defaults: tuple[DefaultRule, ...]) -> Fragment:
         tag = "NMU"
     else:
         tag = "DF"
-    return Fragment(tag=tag, normal=normal, is_df=True, is_nmu=is_nmu, is_nu=is_nu, is_dnu=is_dnu)
+    return Fragment(tag=tag, normal=normal, is_nmu=is_nmu, is_nu=is_nu, is_dnu=is_dnu)
 
 
 def dualize(theory: DefaultTheory) -> DefaultTheory:
@@ -402,8 +407,6 @@ def parse_theory(text: str, *, allow_reserved: bool = False) -> DefaultTheory:
 
 def theory_to_text(theory: DefaultTheory) -> str:
     """Render a theory in the text format (facts first, rules in order)."""
-    lines = [
-        f"fact {l}." for l in sorted(theory.facts, key=lambda l: (l.letter, not l.positive))
-    ]
+    lines = [f"fact {l}." for l in sorted(theory.facts, key=literal_order)]
     lines.extend(f"default {d}." for d in theory.defaults)
     return "\n".join(lines) + ("\n" if lines else "")

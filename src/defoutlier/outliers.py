@@ -1,9 +1,11 @@
 """Outlier and strong-outlier detection.
 
 A witness S for an outlier candidate L (both nonempty disjoint fact
-subsets) must have all its negations entailed once S is withdrawn, while
-withdrawing L as well breaks that entailment: for every literal of S in
-the strong variant, for at least one in the general variant.
+subsets) must have all its negations entailed once S is withdrawn
+(condition 1), while withdrawing L as well breaks that entailment
+(condition 2): for every literal of S in the strong variant, for at least
+one in the general variant.  Each public operation decides both through
+one ``_Checker``, which also rejects inconsistent facts and counts work.
 
 Strong-outlier search exploits two structural facts: every inclusion-
 minimal strong witness has all of its letters inside a single strongly
@@ -20,7 +22,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     DefaultTheory,
@@ -29,41 +31,16 @@ from .core import (
     format_literals,
     is_inconsistent,
     lett,
+    literal_order,
     negate_all,
 )
 from .depgraph import build_graph, decompose, influencing_letters
 from .errors import InvalidQueryError, ScopeError
-from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
+from .semantics import AUTO, DEFAULT_BUDGET, FAST, entails
 
 logger = logging.getLogger(__name__)
 
 LiteralSet = frozenset[Literal]
-
-
-@dataclass(frozen=True)
-class OutlierQuery:
-    """A validated (L, S) candidate pair over a theory's facts."""
-
-    outlier: LiteralSet
-    witness: LiteralSet
-    strong: bool
-
-    @staticmethod
-    def build(
-        theory: DefaultTheory, outlier: Iterable[Literal], witness: Iterable[Literal], strong: bool
-    ) -> "OutlierQuery":
-        l, s = frozenset(outlier), frozenset(witness)
-        if not l:
-            raise InvalidQueryError("outlier candidate must be nonempty")
-        if not s:
-            raise InvalidQueryError("witness candidate must be nonempty")
-        if l & s:
-            raise InvalidQueryError("outlier and witness candidates must be disjoint")
-        if not (l | s) <= theory.facts:
-            raise InvalidQueryError("outlier and witness candidates must be subsets of the facts")
-        if is_inconsistent(theory.facts):
-            raise InvalidQueryError("facts must be consistent")
-        return OutlierQuery(l, s, strong)
 
 
 @dataclass
@@ -87,26 +64,70 @@ class OutlierReport:
         return bool(self.witnesses)
 
 
-def _entails(theory, goal, backend, budget, stats: SearchStats | None) -> bool:
-    if stats is not None:
-        stats.entailment_calls += 1
-    return entails(theory, goal, backend, budget)
+class _Checker:
+    """Conditions 1 and 2 on one theory, for one public operation.  Rejects
+    inconsistent facts and, when ``op`` names a search, theories outside its
+    scope; ``entails`` alone resolves the ``auto`` backend."""
+
+    def __init__(self, theory: DefaultTheory, strong: bool, backend: str, budget: int, op=None):
+        if is_inconsistent(theory.facts):
+            raise InvalidQueryError("facts must be consistent")
+        if op is not None:
+            frag = classify(theory)
+            if not frag.is_nmu:
+                raise ScopeError(f"{op} requires a normal mixed unary theory")
+            if not (frag.is_nu or frag.is_dnu):
+                if backend == FAST:
+                    raise ScopeError(f"{op} with the fast backend requires an NU or DNU theory")
+                logger.warning(
+                    "%s on a mixed unary theory uses exhaustive entailment; "
+                    "expect exponential cost",
+                    op,
+                )
+        self.theory = theory
+        self.strong = strong
+        self.backend = backend
+        self.budget = budget
+        self.stats = SearchStats()
+
+    def cond1(self, s: LiteralSet) -> bool:
+        """With S withdrawn, the theory entails the negation of S."""
+        self.stats.entailment_calls += 1
+        return entails(self.theory.remove_facts(s), negate_all(s), self.backend, self.budget)
+
+    def cond2(self, l: LiteralSet, s: LiteralSet) -> bool:
+        """With S and L withdrawn, the theory no longer entails the negation
+        of S (strong: of any single literal of S)."""
+        reduced = self.theory.remove_facts(s | l)
+        goals = ([x.negate()] for x in s) if self.strong else (negate_all(s),)
+        for goal in goals:
+            self.stats.entailment_calls += 1
+            if entails(reduced, goal, self.backend, self.budget):
+                return False
+        return True
+
+    def candidates(self, pools, max_size: int | None = None) -> Iterator[LiteralSet]:
+        """The witness candidates passing condition 1, in order: the subsets
+        of each pool, of size at most ``max_size``.  Each one tried counts."""
+        for pool in pools:
+            for s in map(frozenset, _subsets(pool, max_size)):
+                self.stats.candidates_examined += 1
+                if self.cond1(s):
+                    yield s
 
 
-def _cond1(theory, s: LiteralSet, backend, budget, stats) -> bool:
-    return _entails(theory.remove_facts(s), negate_all(s), backend, budget, stats)
-
-
-def _cond2_general(theory, l: LiteralSet, s: LiteralSet, backend, budget, stats) -> bool:
-    reduced = theory.remove_facts(s | l)
-    return not _entails(reduced, negate_all(s), backend, budget, stats)
-
-
-def _cond2_strong(theory, l: LiteralSet, s: LiteralSet, backend, budget, stats) -> bool:
-    reduced = theory.remove_facts(s | l)
-    return all(
-        not _entails(reduced, [x.negate()], backend, budget, stats) for x in s
-    )
+def _check_witness(theory, outlier, witness, strong: bool, backend: str, budget: int) -> bool:
+    l, s = frozenset(outlier), frozenset(witness)
+    if not l:
+        raise InvalidQueryError("outlier candidate must be nonempty")
+    if not s:
+        raise InvalidQueryError("witness candidate must be nonempty")
+    if l & s:
+        raise InvalidQueryError("outlier and witness candidates must be disjoint")
+    if not (l | s) <= theory.facts:
+        raise InvalidQueryError("outlier and witness candidates must be subsets of the facts")
+    check = _Checker(theory, strong, backend, budget)
+    return check.cond1(s) and check.cond2(l, s)
 
 
 def is_witness(
@@ -117,10 +138,7 @@ def is_witness(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Definition-level general witness check for an outlier candidate."""
-    q = OutlierQuery.build(theory, outlier, witness, strong=False)
-    return _cond1(theory, q.witness, backend, budget, None) and _cond2_general(
-        theory, q.outlier, q.witness, backend, budget, None
-    )
+    return _check_witness(theory, outlier, witness, False, backend, budget)
 
 
 def is_strong_witness(
@@ -132,30 +150,7 @@ def is_strong_witness(
 ) -> bool:
     """Strong witness check: the broken entailment must fail for every
     witness literal, not just one."""
-    q = OutlierQuery.build(theory, outlier, witness, strong=True)
-    return _cond1(theory, q.witness, backend, budget, None) and _cond2_strong(
-        theory, q.outlier, q.witness, backend, budget, None
-    )
-
-
-def _resolve_backend(theory: DefaultTheory, backend: str, op: str) -> str:
-    frag = classify(theory)
-    if not frag.is_nmu:
-        raise ScopeError(f"{op} requires a normal mixed unary theory")
-    if backend == AUTO:
-        backend = FAST if (frag.is_nu or frag.is_dnu) else EXHAUSTIVE
-    if backend == FAST and not (frag.is_nu or frag.is_dnu):
-        raise ScopeError(f"{op} with the fast backend requires an NU or DNU theory")
-    if backend == EXHAUSTIVE and not (frag.is_nu or frag.is_dnu):
-        logger.warning(
-            "%s on a mixed unary theory uses exhaustive entailment; expect exponential cost",
-            op,
-        )
-    return backend
-
-
-def _order(l: Literal) -> tuple[str, bool]:
-    return (l.letter, not l.positive)
+    return _check_witness(theory, outlier, witness, True, backend, budget)
 
 
 def _witness_pool(theory: DefaultTheory, exclude: LiteralSet) -> list[list[Literal]]:
@@ -163,7 +158,7 @@ def _witness_pool(theory: DefaultTheory, exclude: LiteralSet) -> list[list[Liter
     components = decompose(build_graph(theory)).components
     comp_of = {v: i for i, comp in enumerate(components) for v in comp}
     pools: list[list[Literal]] = [[] for _ in components]
-    for l in sorted(theory.facts - exclude, key=_order):
+    for l in sorted(theory.facts - exclude, key=literal_order):
         pools[comp_of[l.letter]].append(l)
     return pools
 
@@ -191,22 +186,14 @@ def recognize_strong(
     outlier = frozenset(outlier)
     if not outlier or not outlier <= theory.facts:
         raise InvalidQueryError("outlier candidate must be a nonempty subset of the facts")
-    if is_inconsistent(theory.facts):
-        raise InvalidQueryError("facts must be consistent")
-    backend = _resolve_backend(theory, backend, "recognize_strong")
-    stats = SearchStats()
+    check = _Checker(theory, True, backend, budget, "recognize_strong")
     found: list[LiteralSet] = []
-    for pool in _witness_pool(theory, outlier):
-        for s in _subsets(pool):
-            stats.candidates_examined += 1
-            s_set = frozenset(s)
-            if _cond1(theory, s_set, backend, budget, stats) and _cond2_strong(
-                theory, outlier, s_set, backend, budget, stats
-            ):
-                found.append(s_set)
-                if not all_witnesses:
-                    return OutlierReport(outlier, tuple(found), True, stats)
-    return OutlierReport(outlier, tuple(found), True, stats)
+    for s in check.candidates(_witness_pool(theory, outlier)):
+        if check.cond2(outlier, s):
+            found.append(s)
+            if not all_witnesses:
+                break
+    return OutlierReport(outlier, tuple(found), True, check.stats)
 
 
 def _enumerate(
@@ -219,35 +206,21 @@ def _enumerate(
 ) -> tuple[OutlierReport, ...]:
     if k < 1:
         raise InvalidQueryError("outlier size bound k must be >= 1")
-    if is_inconsistent(theory.facts):
-        raise InvalidQueryError("facts must be consistent")
     op = "enumerate_strong" if strong else "enumerate_general"
-    backend = _resolve_backend(theory, backend, op)
-    stats = SearchStats()
-    facts_sorted = sorted(theory.facts, key=_order)
+    check = _Checker(theory, strong, backend, budget, op)
+    facts_sorted = sorted(theory.facts, key=literal_order)
     fact_of = {l.letter: l for l in facts_sorted}  # consistent: one fact per letter
-    cond2 = _cond2_strong if strong else _cond2_general
-
-    if strong:
-        s_candidates: Iterable[tuple[Literal, ...]] = (
-            s for pool in _witness_pool(theory, frozenset()) for s in _subsets(pool)
-        )
-    else:
-        s_candidates = _subsets(facts_sorted, h)
+    pools = _witness_pool(theory, frozenset()) if strong else [facts_sorted]
 
     hits: dict[LiteralSet, list[LiteralSet]] = {}
-    for s in s_candidates:
-        s_set = frozenset(s)
-        stats.candidates_examined += 1
-        if not _cond1(theory, s_set, backend, budget, stats):
-            continue
+    for s_set in check.candidates(pools, h):
         # Incremental lemma: only facts on the influence cone of S matter.
         cone = influencing_letters(theory, lett(s_set))
-        near = sorted({fact_of[x] for x in cone if x in fact_of} - s_set, key=_order)
+        near = sorted({fact_of[x] for x in cone if x in fact_of} - s_set, key=literal_order)
         far = None
         for core in map(frozenset, _subsets(near, k)):
-            stats.candidates_examined += 1
-            if not cond2(theory, core, s_set, backend, budget, stats):
+            check.stats.candidates_examined += 1
+            if not check.cond2(core, s_set):
                 continue
             if far is None:
                 far = [l for l in facts_sorted if l.letter not in cone]
@@ -256,10 +229,10 @@ def _enumerate(
                 hits.setdefault(core | frozenset(pad), []).append(s_set)
 
     reports = [
-        OutlierReport(l_set, tuple(wits), strong, stats)
+        OutlierReport(l_set, tuple(wits), strong, check.stats)
         for l_set, wits in hits.items()
     ]
-    reports.sort(key=lambda r: sorted(map(_order, r.outlier)))
+    reports.sort(key=lambda r: sorted(map(literal_order, r.outlier)))
     return tuple(reports)
 
 
@@ -329,8 +302,8 @@ def format_report_lines(report: OutlierReport, all_witnesses: bool = True) -> li
 def format_report_record(report: OutlierReport) -> str:
     """One machine-readable JSON record per (outlier, witness-list)."""
     record = {
-        "outlier": [str(l) for l in sorted(report.outlier, key=_order)],
-        "witnesses": [[str(l) for l in sorted(w, key=_order)] for w in report.witnesses],
+        "outlier": [str(l) for l in sorted(report.outlier, key=literal_order)],
+        "witnesses": [[str(l) for l in sorted(w, key=literal_order)] for w in report.witnesses],
         "strong": report.strong,
     }
     return json.dumps(record)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import DefaultTheory, Literal, classify, compiled, is_inconsistent
+from .core import DefaultTheory, Literal, classify, compiled, is_inconsistent, literal_order
 from .errors import BudgetExceededError, ScopeError
 
 EXHAUSTIVE = "exhaustive"
@@ -162,7 +162,7 @@ def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[Sig
         return (SignatureSet(theory.facts, ()),)
     idx = _MaskIndex(theory)
     sigs = [SignatureSet(idx.to_literals(m), gen) for m, gen in _iter_masks(idx, budget)]
-    sigs.sort(key=lambda s: sorted((l.letter, not l.positive) for l in s.literals))
+    sigs.sort(key=lambda s: sorted(map(literal_order, s.literals)))
     return tuple(sigs)
 
 
@@ -187,23 +187,29 @@ def _require_nmu(theory: DefaultTheory, op: str) -> None:
         raise ScopeError(f"{op} requires a normal mixed unary theory")
 
 
-def _rule_provable(theory: DefaultTheory, context: frozenset[Literal]) -> set[Literal]:
-    """Literals provable via rule chains w.r.t. (D, W) and the context set."""
-    proved: set[Literal] = set()
-    changed = True
-    while changed:
-        changed = False
-        for d in theory.defaults:
-            (c,) = d.consequent
-            if c in proved or c.negate() in context:
-                continue
-            if d.prerequisite:
-                (p,) = d.prerequisite
-                if p not in theory.facts and p not in proved:
-                    continue
-            proved.add(c)
-            changed = True
-    return proved
+def _derivations(
+    theory: DefaultTheory, context: frozenset[Literal]
+) -> dict[Literal, tuple[Literal | None, int]]:
+    """Literals provable via rule chains w.r.t. (D, W) and the context set.
+
+    Breadth-first from the rules that are prerequisite-free or grounded in a
+    fact (the chain start, None), never concluding a literal the context
+    contradicts.  Each literal maps to the conclusion it chains from and the
+    rule's index; these parent links form shortest chains.
+    """
+    chained: dict[Literal | None, list[int]] = {}
+    for i, d in enumerate(theory.defaults):
+        (p,) = d.prerequisite or (None,)
+        chained.setdefault(None if p in theory.facts else p, []).append(i)
+    parent: dict[Literal, tuple[Literal | None, int]] = {}
+    queue: list[Literal | None] = [None]
+    for prev in queue:  # the queue grows while it is walked
+        for i in chained.get(prev, ()):
+            (c,) = theory.defaults[i].consequent
+            if c not in parent and c.negate() not in context:
+                parent[c] = (prev, i)
+                queue.append(c)
+    return parent
 
 
 def is_extension(theory: DefaultTheory, candidate: frozenset[Literal]) -> bool:
@@ -227,8 +233,7 @@ def is_extension(theory: DefaultTheory, candidate: frozenset[Literal]) -> bool:
         (c,) = d.consequent
         if c not in candidate and c.negate() not in candidate:
             return False
-    provable = set(theory.facts) | _rule_provable(theory, candidate)
-    return candidate <= provable
+    return candidate <= theory.facts | _derivations(theory, candidate).keys()
 
 
 def find_proof(
@@ -242,52 +247,18 @@ def find_proof(
     rule breaks them.
     """
     _require_nmu(theory, "find_proof")
-    context = frozenset(context)
     if literal in theory.facts:
         return Proof(literal, (), True)
 
-    # BFS over derived literals; parent links reconstruct the chain.
-    parent: dict[Literal, tuple[Literal | None, int]] = {}
-    queue: list[Literal] = []
-    for i, d in enumerate(theory.defaults):
-        (c,) = d.consequent
-        if c in parent or c.negate() in context:
-            continue
-        if not d.prerequisite:
-            parent[c] = (None, i)
-            queue.append(c)
-        else:
-            (p,) = d.prerequisite
-            if p in theory.facts:
-                parent[c] = (None, i)
-                queue.append(c)
-    pos = 0
-    while pos < len(queue):
-        cur = queue[pos]
-        pos += 1
-        if cur == literal:
-            break
-        for i, d in enumerate(theory.defaults):
-            if not d.prerequisite:
-                continue
-            (p,) = d.prerequisite
-            if p != cur:
-                continue
-            (c,) = d.consequent
-            if c in parent or c.negate() in context:
-                continue
-            parent[c] = (cur, i)
-            queue.append(c)
+    parent = _derivations(theory, frozenset(context))
     if literal not in parent:
         return None
-    chain: list[int] = []
+    steps = []
     at: Literal | None = literal
     while at is not None:
-        prev, ri = parent[at]
-        chain.append(ri)
-        at = prev
-    chain.reverse()
-    return Proof(literal, tuple(theory.defaults[i] for i in chain), False)
+        at, i = parent[at]
+        steps.append(theory.defaults[i])
+    return Proof(literal, tuple(reversed(steps)), False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from defoutlier import (
     classify,
     dualize,
     entails,
+    is_inconsistent,
     lit,
     lits,
     parse_theory,
@@ -50,6 +53,19 @@ def test_rule_requires_justification_and_consequent():
         DefaultRule(frozenset(), frozenset(), lits("b"))
     with pytest.raises(ValueError):
         DefaultRule(frozenset(), lits("b"), frozenset())
+
+
+def test_is_inconsistent_matches_definition():
+    rng = random.Random(5)
+    pool = [Literal(x, p) for x in "abcd" for p in (True, False)]
+    cases = [[]] + [
+        [rng.choice(pool) for _ in range(rng.randint(1, 8))] for _ in range(500)
+    ]
+    assert any(len(set(c)) < len(c) for c in cases)  # duplicates occur
+    for c in cases:
+        want = any(l.negate() in set(c) for l in c)
+        for given_as in (list, tuple, set, frozenset, iter):
+            assert is_inconsistent(given_as(c)) is want
 
 
 def test_normal_rule_detection():
@@ -148,7 +164,7 @@ def test_round_trip_property(data):
 def test_classify_cellphone_nu(cellphone):
     frag = classify(cellphone)
     assert frag.tag == "NU"
-    assert frag.is_nu and frag.is_nmu and frag.is_df and frag.normal
+    assert frag.is_nu and frag.is_nmu and frag.normal
 
 
 def test_classify_binary_prerequisite_is_df():
@@ -176,9 +192,9 @@ def test_classify_non_normal_is_df():
 
 
 def test_classify_containments(cellphone):
-    # A theory tagged NU also passes the NMU and DF predicates.
+    # A theory tagged NU also passes the NMU predicate; every theory is DF.
     frag = classify(cellphone)
-    assert frag.is_nu and frag.is_nmu and frag.is_df
+    assert frag.is_nu and frag.is_nmu
 
 
 def test_classify_prerequisite_free_prefers_nu():

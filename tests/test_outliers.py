@@ -31,7 +31,7 @@ from defoutlier import (
     semantics,
     theory_to_text,
 )
-from conftest import ExhaustiveOracle, brute_force_outliers
+from conftest import ExhaustiveOracle, brute_force_outliers, nonempty_subsets
 
 S4 = lits("-MfC", "NewLocation", "QuietTime", "MultipleIPs")
 
@@ -78,6 +78,47 @@ def test_invalid_queries(credit_card):
         is_witness(bad, lits("CreditNumber"), lits("MultipleIPs"))
 
 
+NU_SMALL = parse_theory("fact a. fact b. default a : c / c. default c : -b / -b.")
+DF_SMALL = parse_theory("fact a. fact b. default a & b : c / c.")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: recognize_strong(NU_SMALL.with_facts(lits("a", "-a", "b")), lits("b")),
+         "facts must be consistent"),
+        (lambda: recognize_strong(DF_SMALL.with_facts(lits("a", "-a", "b")), lits("b")),
+         "facts must be consistent"),
+        (lambda: recognize_strong(NU_SMALL, []),
+         "outlier candidate must be a nonempty subset of the facts"),
+        (lambda: recognize_strong(NU_SMALL, lits("c")),
+         "outlier candidate must be a nonempty subset of the facts"),
+        (lambda: enumerate_strong(NU_SMALL, 0), "outlier size bound k must be >= 1"),
+        (lambda: enumerate_strong(NU_SMALL.with_facts(lits("a", "-a", "b")), 1),
+         "facts must be consistent"),
+        (lambda: enumerate_strong(DF_SMALL.with_facts(lits("a", "-a", "b")), 1),
+         "facts must be consistent"),
+        (lambda: enumerate_general(NU_SMALL, 1, 0), "witness size bound h must be >= 1"),
+        (lambda: enumerate_general(NU_SMALL, 0, 0), "witness size bound h must be >= 1"),
+    ],
+    ids=[
+        "recognize-inconsistent-nu",
+        "recognize-inconsistent-df",
+        "recognize-empty",
+        "recognize-not-a-fact",
+        "enumerate-strong-k0",
+        "enumerate-strong-inconsistent-nu",
+        "enumerate-strong-inconsistent-df",
+        "enumerate-general-h0",
+        "enumerate-general-k0-h0",
+    ],
+)
+def test_invalid_search_queries(call, message):
+    with pytest.raises(InvalidQueryError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Recognition
 # ---------------------------------------------------------------------------
@@ -101,6 +142,27 @@ def test_recognize_fast_rejected_on_nmu_proper():
     with pytest.raises(ScopeError):
         recognize_strong(t, lits("a"), backend=FAST)
     recognize_strong(t, lits("a"), backend=EXHAUSTIVE)  # allowed, warns
+
+
+def test_recognize_all_witnesses_are_the_strong_single_scc_candidates(cellphone):
+    # In candidate order: components in order, then subsets by size.
+    theories = [cellphone, dualize(cellphone)]
+    theories += [random_theory(f, 8, 12, 2, seed=seed) for f in ("NU", "DNU") for seed in range(40)]
+    found = 0
+    for t in theories:
+        facts = _sorted_facts(t)
+        components = decompose(build_graph(t)).components
+        for f in facts:
+            rest = [x for x in facts if x != f]
+            want = tuple(
+                frozenset(s)
+                for comp in components
+                for s in nonempty_subsets([x for x in rest if x.letter in comp])
+                if is_strong_witness(t, [f], s)
+            )
+            assert recognize_strong(t, [f], all_witnesses=True).witnesses == want
+            found += len(want)
+    assert found >= 20
 
 
 def test_recognize_stats_counted(cellphone):
