@@ -67,11 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, theory=True):
+    def add_common(p):
         p.add_argument("--backend", choices=["auto", "exhaustive", "fast"], default="auto")
         p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="node cap for exhaustive search")
-        if theory:
-            p.add_argument("theory", help="theory file path, or - for stdin")
+        p.add_argument("theory", help="theory file path, or - for stdin")
 
     p = sub.add_parser("classify", help="report the fragment of a theory")
     p.add_argument("theory")
@@ -188,10 +187,9 @@ def _run(args) -> int:
 
     if args.verb == "graph":
         theory = _read_theory(args.theory)
-        graph = build_graph(theory)
-        decomp = decompose(graph)
+        decomp = decompose(theory)
         if args.dot:
-            sys.stdout.write(to_dot(graph, decomp))
+            sys.stdout.write(to_dot(build_graph(theory), decomp))
         else:
             for i, comp in enumerate(decomp.components, start=1):
                 print(f"component {i}: {{{', '.join(sorted(comp))}}}")

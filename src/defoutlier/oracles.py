@@ -35,10 +35,6 @@ class Cnf3:
                 if l == 0 or abs(l) > self.variable_count:
                     raise ValueError(f"literal {l} out of range 1..{self.variable_count}")
 
-    @property
-    def clause_count(self) -> int:
-        return len(self.clauses)
-
 
 def parse_dimacs(text: str) -> Cnf3:
     """Read DIMACS CNF; clauses shorter than 3 are padded by repetition."""
@@ -289,7 +285,6 @@ def random_theory(
     n_rules: int,
     tightness_target: int,
     seed: int,
-    fact_density: float = 0.6,
 ) -> DefaultTheory:
     """Seeded random theory with a guaranteed fragment tag and tightness cap.
 
@@ -365,7 +360,7 @@ def random_theory(
         )
 
     facts = [
-        Literal(x, rng.random() < 0.7) for x in letters if rng.random() < fact_density
+        Literal(x, rng.random() < 0.7) for x in letters if rng.random() < 0.6
     ]
     theory = DefaultTheory(rules, facts)
     got = classify(theory).tag

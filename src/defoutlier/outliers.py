@@ -34,7 +34,7 @@ from .core import (
     literal_order,
     negate_all,
 )
-from .depgraph import build_graph, decompose, influencing_letters
+from .depgraph import decompose, influencing_letters
 from .errors import InvalidQueryError, ScopeError
 from .semantics import AUTO, DEFAULT_BUDGET, FAST, entails
 
@@ -155,7 +155,7 @@ def is_strong_witness(
 
 def _witness_pool(theory: DefaultTheory, exclude: LiteralSet) -> list[list[Literal]]:
     """Fact literals grouped by ordered SCC, excluding the outlier candidate."""
-    components = decompose(build_graph(theory)).components
+    components = decompose(theory).components
     comp_of = {v: i for i, comp in enumerate(components) for v in comp}
     pools: list[list[Literal]] = [[] for _ in components]
     for l in sorted(theory.facts - exclude, key=literal_order):

@@ -377,15 +377,12 @@ def _dual_entailer(defaults: Sequence) -> _NuEntailer:
     return _NuEntailer([d.dual() for d in defaults])
 
 
-def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal]) -> bool:
-    frag = classify(theory)
-    if not (frag.is_nu or frag.is_dnu):
-        raise ScopeError("fast backend requires an NU or DNU theory")
+def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal], nu: bool) -> bool:
     pos = frozenset(l.letter for l in theory.facts if l.positive)
     neg = frozenset(l.letter for l in theory.facts if not l.positive)
     if pos & neg:
         return True  # inconsistent facts entail everything
-    if frag.is_nu:
+    if nu:
         ent = compiled(theory, _NuEntailer)
         return all(ent.skeptical(pos, neg, q) for q in goal)
     # Answer over the dual (NU) rules: swap the fact polarities and negate
@@ -407,16 +404,17 @@ def entails(
     ``"exhaustive"``, ``"fast"`` (NU/DNU only) or ``"auto"``.
     """
     goal = list(goal)
-    if backend == AUTO:
+    if backend in (AUTO, FAST):
         frag = classify(theory)
-        backend = FAST if (frag.is_nu or frag.is_dnu) else EXHAUSTIVE
-    if backend == FAST:
-        return _fast_entails(theory, goal)
-    if backend == EXHAUSTIVE:
-        if is_inconsistent(theory.facts):
-            return True
-        idx = _MaskIndex(theory)
-        # A literal absent from the theory gets a bit that no extension holds.
-        need = sum({1 << idx.lit_id.get(l, 2 * len(idx.letters)) for l in goal})
-        return all(e & need == need for e, _ in _iter_masks(idx, budget))
-    raise ValueError(f"unknown backend {backend!r}")
+        if frag.is_nu or frag.is_dnu:
+            return _fast_entails(theory, goal, frag.is_nu)
+        if backend == FAST:
+            raise ScopeError("fast backend requires an NU or DNU theory")
+    elif backend != EXHAUSTIVE:
+        raise ValueError(f"unknown backend {backend!r}")
+    if is_inconsistent(theory.facts):
+        return True
+    idx = _MaskIndex(theory)
+    # A literal absent from the theory gets a bit that no extension holds.
+    need = sum({1 << idx.lit_id.get(l, 2 * len(idx.letters)) for l in goal})
+    return all(e & need == need for e, _ in _iter_masks(idx, budget))

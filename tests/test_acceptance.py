@@ -18,7 +18,6 @@ from defoutlier import (
     DefaultTheory,
     Literal,
     brave_member,
-    build_graph,
     build_lemma4,
     build_thm8,
     build_thm9,
@@ -256,7 +255,7 @@ def test_criterion_6_minimal_witnesses_single_scc():
             if oracle.is_witness(outlier, frozenset(s), strong=True)
         ]
         minimal = [w for w in witnesses if not any(o < w for o in witnesses)]
-        decomp = decompose(build_graph(theory))
+        decomp = decompose(theory)
         for w in minimal:
             letters = {x.letter for x in w}
             if not any(letters <= comp for comp in decomp.components):

@@ -11,8 +11,8 @@ from defoutlier import (
     FAST,
     InvalidQueryError,
     ScopeError,
-    build_graph,
     decompose,
+    depgraph,
     dualize,
     entails,
     enumerate_general,
@@ -30,6 +30,7 @@ from defoutlier import (
     recognize_strong,
     semantics,
     theory_to_text,
+    tightness,
 )
 from conftest import ExhaustiveOracle, brute_force_outliers, nonempty_subsets
 
@@ -151,7 +152,7 @@ def test_recognize_all_witnesses_are_the_strong_single_scc_candidates(cellphone)
     found = 0
     for t in theories:
         facts = _sorted_facts(t)
-        components = decompose(build_graph(t)).components
+        components = decompose(t).components
         for f in facts:
             rest = [x for x in facts if x != f]
             want = tuple(
@@ -219,7 +220,7 @@ def test_enumerate_matches_brute_force_small():
     # enumerate_strong reports exactly the strong witnesses inside one SCC.
     for seed in range(12):
         t = random_theory("NU", 5, 7, 2, seed=seed)
-        components = decompose(build_graph(t)).components
+        components = decompose(t).components
         got = {r.outlier: set(r.witnesses) for r in enumerate_strong(t, 2)}
         want = {
             l: {s for s in ws if any(lett(s) <= c for c in components)}
@@ -257,7 +258,7 @@ def test_enumerate_cost_bound(cellphone):
     k = 2
     reports = enumerate_strong(cellphone, k)
     stats = reports[0].search_stats
-    decomp = decompose(build_graph(cellphone))
+    decomp = decompose(cellphone)
     n_facts = len(cellphone.facts)
     import math
 
@@ -376,12 +377,31 @@ def test_dnu_recognition_builds_one_entailer(monkeypatch):
     assert len(built) == 1
 
 
+def test_scc_order_is_computed_once_per_rule_base(monkeypatch):
+    runs = []
+    tarjan = depgraph._tarjan
+
+    def counting_tarjan(*args):
+        runs.append(None)
+        return tarjan(*args)
+
+    monkeypatch.setattr(depgraph, "_tarjan", counting_tarjan)
+    theory = random_theory("NU", 60, 80, 1, 808)
+    facts = _sorted_facts(theory)
+    for fact in facts[:6]:
+        recognize_strong(theory, [fact])
+    tightness(theory)
+    enumerate_strong(theory.remove_facts(facts[:1]), 1)
+    assert len(runs) == 1
+
+
 def _answers(theory):
     """Entailment and strong-witness answers over fact variants."""
     facts = _sorted_facts(theory)[:8]
     out = []
     for s, l in zip(facts, facts[1:]):
         variant = theory.remove_facts([s])
+        out.append(decompose(variant).components)
         out.append(entails(variant, [s.negate()]))
         out.append(entails(variant.remove_facts([l]), [s.negate()]))
         out.append(is_strong_witness(theory, [l], [s]))
