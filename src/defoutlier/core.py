@@ -178,30 +178,45 @@ class DefaultTheory:
     literal set.  Instances are immutable and safe to share.  Fact-set
     variants made by ``with_facts`` and ``remove_facts`` share one
     ``RuleBase``, which takes no part in equality, hashing or ``repr``.
+    Nor does the consistency mark: ``consistent_facts`` decides it once,
+    and ``remove_facts`` hands a known-consistent mark on, since a subset of
+    consistent facts is consistent.
     """
 
     defaults: tuple[DefaultRule, ...]
     facts: frozenset[Literal]
     _rules: RuleBase = field(init=False, compare=False, repr=False)
+    _consistent: bool | None = field(init=False, compare=False, repr=False)
 
     def __init__(self, defaults: Iterable[DefaultRule], facts: Iterable[Literal]):
         deduplicated = tuple(dict.fromkeys(defaults))
         object.__setattr__(self, "defaults", deduplicated)
         object.__setattr__(self, "facts", frozenset(facts))
         object.__setattr__(self, "_rules", RuleBase())
+        object.__setattr__(self, "_consistent", None)
 
     def letters(self) -> frozenset[str]:
         return compiled(self, _rule_letters) | lett(self.facts)
 
+    def consistent_facts(self) -> bool:
+        """True iff no fact contradicts another; decided once per lineage."""
+        if self._consistent is None:
+            object.__setattr__(self, "_consistent", not is_inconsistent(self.facts))
+        return self._consistent
+
     def with_facts(self, facts: Iterable[Literal]) -> "DefaultTheory":
-        variant = object.__new__(DefaultTheory)
-        object.__setattr__(variant, "defaults", self.defaults)
-        object.__setattr__(variant, "facts", frozenset(facts))
-        object.__setattr__(variant, "_rules", self._rules)
-        return variant
+        return self._variant(frozenset(facts), None)
 
     def remove_facts(self, removed: Iterable[Literal]) -> "DefaultTheory":
-        return self.with_facts(self.facts - frozenset(removed))
+        return self._variant(self.facts - frozenset(removed), self._consistent or None)
+
+    def _variant(self, facts: frozenset[Literal], consistent: bool | None) -> "DefaultTheory":
+        variant = object.__new__(DefaultTheory)
+        object.__setattr__(variant, "defaults", self.defaults)
+        object.__setattr__(variant, "facts", facts)
+        object.__setattr__(variant, "_rules", self._rules)
+        object.__setattr__(variant, "_consistent", consistent)
+        return variant
 
     def __iter__(self) -> Iterator[DefaultRule]:
         return iter(self.defaults)

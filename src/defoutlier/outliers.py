@@ -29,14 +29,13 @@ from .core import (
     Literal,
     classify,
     format_literals,
-    is_inconsistent,
     lett,
     literal_order,
     negate_all,
 )
 from .depgraph import decompose, influencing_letters
 from .errors import InvalidQueryError, ScopeError
-from .semantics import AUTO, DEFAULT_BUDGET, FAST, entails
+from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +69,7 @@ class _Checker:
     scope; ``entails`` alone resolves the ``auto`` backend."""
 
     def __init__(self, theory: DefaultTheory, strong: bool, backend: str, budget: int, op=None):
-        if is_inconsistent(theory.facts):
+        if not theory.consistent_facts():
             raise InvalidQueryError("facts must be consistent")
         if op is not None:
             frag = classify(theory)
@@ -127,6 +126,12 @@ def _check_witness(theory, outlier, witness, strong: bool, backend: str, budget:
     if not (l | s) <= theory.facts:
         raise InvalidQueryError("outlier and witness candidates must be subsets of the facts")
     check = _Checker(theory, strong, backend, budget)
+    frag = classify(theory)
+    answers = backend in (AUTO, EXHAUSTIVE) or backend == FAST and (frag.is_nu or frag.is_dnu)
+    if frag.is_nmu and answers and not lett(l) & influencing_letters(theory, lett(s)):
+        # The rules are normal and unary, so the cone of S splits the theory:
+        # withdrawing L off it leaves cond1's answer, and cond2 negates it.
+        return False
     return check.cond1(s) and check.cond2(l, s)
 
 

@@ -11,17 +11,25 @@ skeptical literal queries on normal unary (NU) and dual normal unary (DNU)
 theories in polynomial time by searching for a countermodel extension: it
 grows the set of letters that must be kept non-positive, re-checking
 blockability against a positive reachability fixpoint until the requirement
-set stabilizes or becomes unsatisfiable.  Both backends agree wherever the
-fast one applies, as the test suite checks on large seeded random families.
+set stabilizes or becomes unsatisfiable.  It reads only the goal letter's
+ancestor cone, the letters with a rule path to it: NU and DNU rules are
+normal and unary, so a predecessor-closed letter set is a splitting set
+(Turner, "Splitting a Default Theory", AAAI 1996) and nothing outside the
+cone changes the answer.  A goal literal whose cone has c letters, with e
+rules mentioning them, costs O(c * e) plus O(min(c, |W|)) for its fact
+letters, whatever the size of the theory; the cone is computed once per
+letter and rule base.  Both backends agree wherever the fast one applies,
+as the test suite checks on large seeded random families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import DefaultTheory, Literal, classify, compiled, is_inconsistent, literal_order
+from .core import DefaultTheory, Literal, _rule_letters, classify, compiled, is_inconsistent, literal_order
+from .depgraph import influencing_letters
 from .errors import BudgetExceededError, ScopeError
 
 EXHAUSTIVE = "exhaustive"
@@ -158,7 +166,7 @@ def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[Sig
     Returns an empty tuple iff the theory is incoherent.  A theory with
     inconsistent facts has exactly one (inconsistent) extension.
     """
-    if is_inconsistent(theory.facts):
+    if not theory.consistent_facts():
         return (SignatureSet(theory.facts, ()),)
     idx = _MaskIndex(theory)
     sigs = [SignatureSet(idx.to_literals(m), gen) for m, gen in _iter_masks(idx, budget)]
@@ -168,7 +176,7 @@ def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[Sig
 
 def brave_member(theory: DefaultTheory, literal: Literal, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff some extension contains the literal (false when incoherent)."""
-    if is_inconsistent(theory.facts):
+    if not theory.consistent_facts():
         return True
     idx = _MaskIndex(theory)
     bit = idx.lit_id.get(literal)
@@ -220,7 +228,7 @@ def is_extension(theory: DefaultTheory, candidate: frozenset[Literal]) -> bool:
     and every member literal has a grounded proof.
     """
     _require_nmu(theory, "is_extension")
-    if is_inconsistent(theory.facts):
+    if not theory.consistent_facts():
         raise ScopeError("is_extension requires consistent facts")
     candidate = frozenset(candidate)
     if not theory.facts <= candidate:
@@ -266,6 +274,27 @@ def find_proof(
 # ---------------------------------------------------------------------------
 
 
+class _Cone(NamedTuple):
+    """The ancestor cone of one goal letter: the only letters its answer
+    reads, since every trigger of a cone letter lies in the cone too."""
+
+    letters: frozenset[str]
+    literals: tuple[tuple[str, Literal, Literal], ...]  # (y, y, -y) per letter, shared
+    top: tuple[str, ...]  # cone letters a prerequisite-free positive rule concludes
+    inside: frozenset[str] | None  # letters ``_reach`` may enter; None: all
+
+    def fact_letters(self, facts: frozenset[Literal]) -> tuple[set[str], set[str]]:
+        """The cone letters of the positive and of the negative facts,
+        reading whichever of the cone and the facts is smaller."""
+        if len(self.literals) <= len(facts):
+            pos = {x for x, p, _ in self.literals if p in facts}
+            neg = {x for x, _, n in self.literals if n in facts}
+        else:
+            pos = {l.letter for l in facts if l.positive and l.letter in self.letters}
+            neg = {l.letter for l in facts if not l.positive and l.letter in self.letters}
+        return pos, neg
+
+
 class _NuEntailer:
     """Skeptical literal queries on an NU theory via countermodel search.
 
@@ -275,14 +304,15 @@ class _NuEntailer:
     its positive supports starved in turn.  Keeping the requirement set
     closed under forced starvation while re-checking attacker liveness
     against the shrinking positive-reachability fixpoint decides
-    feasibility exactly.
+    feasibility exactly.  Every query runs inside the goal letter's
+    ancestor cone, computed once per letter.
     """
 
     def __init__(self, defaults: Sequence):
         self.pos_triggers: dict[str, list[str | None]] = {}
         self.neg_triggers: dict[str, list[str | None]] = {}
         self.pos_children: dict[str, list[str]] = {}
-        self.top_pos: list[str] = []
+        self.top_pos: set[str] = set()
         for d in defaults:
             (c,) = d.consequent
             trig: str | None = None
@@ -292,37 +322,67 @@ class _NuEntailer:
             if c.positive:
                 self.pos_triggers.setdefault(c.letter, []).append(trig)
                 if trig is None:
-                    self.top_pos.append(c.letter)
+                    self.top_pos.add(c.letter)
                 else:
                     self.pos_children.setdefault(trig, []).append(c.letter)
             else:
                 self.neg_triggers.setdefault(c.letter, []).append(trig)
+        self.letters = _rule_letters(defaults)
+        self._cones: dict[str, _Cone] = {}
+        self._literals: dict[str, tuple[str, Literal, Literal]] = {}
 
-    def _reach(self, wpos: frozenset[str], wneg: frozenset[str], avoid: set[str]) -> set[str]:
-        """Letters that can be made positive while every letter in ``avoid``
-        stays non-positive (facts are immovable; callers exclude them)."""
+    def cone(self, theory: DefaultTheory, x: str) -> _Cone:
+        """The cone of letter ``x`` of ``theory``, one of this entailer's
+        fact variants.  Kept for the letters the rules mention, whose
+        ancestors are rule letters too; their literals are made once and
+        shared, so the cache holds little beyond the cones' letter sets."""
+        try:
+            return self._cones[x]
+        except KeyError:
+            pass
+        if x not in self.letters:  # its own cone; nothing is kept
+            alone = frozenset([x])
+            return _Cone(alone, ((x, Literal(x, True), Literal(x, False)),), (), alone)
+        letters = influencing_letters(theory, (x,))
+        literals = self._literals
+        for y in letters:
+            if y not in literals:
+                literals[y] = (y, Literal(y, True), Literal(y, False))
+        cone = self._cones[x] = _Cone(
+            letters,
+            tuple(literals[y] for y in letters),
+            tuple(y for y in letters if y in self.top_pos),
+            None if self.letters <= letters else letters,
+        )
+        return cone
+
+    def _reach(self, cone: _Cone, wpos: set[str], wneg: set[str], avoid: set[str]) -> set[str]:
+        """Cone letters that can be made positive while every letter in
+        ``avoid`` stays non-positive (facts are immovable; callers exclude
+        them)."""
+        inside = cone.inside
         seen = set(wpos)
         frontier = list(seen)
-        for y in self.top_pos:
+        for y in cone.top:
             if y not in seen and y not in wneg and y not in avoid:
                 seen.add(y)
                 frontier.append(y)
         while frontier:
             x = frontier.pop()
             for y in self.pos_children.get(x, ()):
-                if y not in seen and y not in wneg and y not in avoid:
+                if y not in seen and y not in wneg and y not in avoid and (inside is None or y in inside):
                     seen.add(y)
                     frontier.append(y)
         return seen
 
     def _can_all_be_nonpositive(
-        self, wpos: frozenset[str], wneg: frozenset[str], targets: Iterable[str]
+        self, cone: _Cone, wpos: set[str], wneg: set[str], targets: Iterable[str]
     ) -> bool:
         kept = set(targets)
         if kept & wpos:
             return False
         while True:
-            reach = self._reach(wpos, wneg, kept)
+            reach = self._reach(cone, wpos, wneg, kept)
             grew = False
             for x in sorted(kept):
                 if x in wneg:
@@ -344,21 +404,22 @@ class _NuEntailer:
             if not grew:
                 return True
 
-    def skeptical(self, wpos: frozenset[str], wneg: frozenset[str], q: Literal) -> bool:
-        x = q.letter
-        if q.positive:
+    def skeptical(self, cone: _Cone, wpos: set[str], wneg: set[str], x: str, positive: bool) -> bool:
+        """Whether every extension holds the literal (``x``, ``positive``);
+        ``cone`` is the cone of ``x`` and the fact letters lie inside it."""
+        if positive:
             if x in wpos:
                 return True
             if x in wneg:
                 return False
-            return not self._can_all_be_nonpositive(wpos, wneg, {x})
+            return not self._can_all_be_nonpositive(cone, wpos, wneg, {x})
         if x in wneg:
             return True
         if x in wpos:
             return False
         if x not in self.neg_triggers:
             return False
-        if x in self._reach(wpos, wneg, set()):
+        if x in self._reach(cone, wpos, wneg, set()):
             return False
         # x can never be positive; its negation is everywhere unless every
         # rule mentioning x can be starved, leaving x wholly undecided.
@@ -370,7 +431,7 @@ class _NuEntailer:
         for t in self.pos_triggers.get(x, ()):
             if t is not None:
                 triggers.add(t)
-        return not self._can_all_be_nonpositive(wpos, wneg, triggers)
+        return not self._can_all_be_nonpositive(cone, wpos, wneg, triggers)
 
 
 def _dual_entailer(defaults: Sequence) -> _NuEntailer:
@@ -378,17 +439,19 @@ def _dual_entailer(defaults: Sequence) -> _NuEntailer:
 
 
 def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal], nu: bool) -> bool:
-    pos = frozenset(l.letter for l in theory.facts if l.positive)
-    neg = frozenset(l.letter for l in theory.facts if not l.positive)
-    if pos & neg:
-        return True  # inconsistent facts entail everything
-    if nu:
-        ent = compiled(theory, _NuEntailer)
-        return all(ent.skeptical(pos, neg, q) for q in goal)
-    # Answer over the dual (NU) rules: swap the fact polarities and negate
-    # the goal instead of building the dual theory.
-    ent = compiled(theory, _dual_entailer)
-    return all(ent.skeptical(neg, pos, q.negate()) for q in goal)
+    if not theory.consistent_facts():
+        return True  # inconsistent facts entail everything, on the cone or off it
+    # A DNU query is answered over the dual (NU) rules: swap the fact
+    # polarities and negate the goal instead of building the dual theory.
+    ent = compiled(theory, _NuEntailer if nu else _dual_entailer)
+    for q in goal:
+        cone = ent.cone(theory, q.letter)
+        pos, neg = cone.fact_letters(theory.facts)
+        if not nu:
+            pos, neg = neg, pos
+        if not ent.skeptical(cone, pos, neg, q.letter, q.positive == nu):
+            return False
+    return True
 
 
 def entails(
@@ -412,7 +475,7 @@ def entails(
             raise ScopeError("fast backend requires an NU or DNU theory")
     elif backend != EXHAUSTIVE:
         raise ValueError(f"unknown backend {backend!r}")
-    if is_inconsistent(theory.facts):
+    if not theory.consistent_facts():
         return True
     idx = _MaskIndex(theory)
     # A literal absent from the theory gets a bit that no extension holds.

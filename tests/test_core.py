@@ -20,6 +20,7 @@ from defoutlier import (
     theory_to_text,
     tightness,
 )
+from defoutlier import core
 from defoutlier.core import lett, normal_rule, rule
 from conftest import CELLPHONE
 
@@ -248,3 +249,32 @@ def test_rule_base_takes_no_part_in_equality(cellphone):
         assert hash(other) == hash(cellphone)
         assert repr(other) == repr(cellphone)
     assert cellphone.remove_facts(lits("CellUse")) != fresh
+
+
+# ---------------------------------------------------------------------------
+# Consistency mark
+# ---------------------------------------------------------------------------
+
+
+def test_remove_facts_keeps_a_known_consistent_mark(cellphone, monkeypatch):
+    assert cellphone.consistent_facts()
+    calls = []
+    real = core.is_inconsistent
+    monkeypatch.setattr(core, "is_inconsistent", lambda ls: calls.append(ls) or real(ls))
+    variant = cellphone.remove_facts(lits("CellUse")).remove_facts(lits("MfC", "-MfC"))
+    assert variant.consistent_facts()
+    assert calls == []
+    assert cellphone.with_facts(cellphone.facts).consistent_facts()
+    assert len(calls) == 1
+
+
+def test_with_facts_never_inherits_the_mark(cellphone):
+    assert cellphone.consistent_facts()
+    bad = cellphone.with_facts(cellphone.facts | lits("z", "-z"))
+    assert bad._consistent is None
+    assert not bad.consistent_facts()
+    off_cone = bad.remove_facts(lits("CellUse"))
+    assert off_cone._consistent is None
+    assert not off_cone.consistent_facts()
+    assert bad.remove_facts(lits("-z")).consistent_facts()
+    assert bad == cellphone.with_facts(cellphone.facts | lits("-z", "z"))

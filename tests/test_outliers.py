@@ -10,7 +10,9 @@ from defoutlier import (
     EXHAUSTIVE,
     FAST,
     InvalidQueryError,
+    Literal,
     ScopeError,
+    classify,
     decompose,
     depgraph,
     dualize,
@@ -25,6 +27,7 @@ from defoutlier import (
     lits,
     minimal_strong_witnesses,
     negate_all,
+    outliers,
     parse_theory,
     random_theory,
     recognize_strong,
@@ -405,7 +408,15 @@ def _answers(theory):
         out.append(entails(variant, [s.negate()]))
         out.append(entails(variant.remove_facts([l]), [s.negate()]))
         out.append(is_strong_witness(theory, [l], [s]))
+    variant = theory.remove_facts(facts[:1])
+    out.append([entails(variant, [Literal(x, p)], FAST) for x in sorted(theory.letters()) for p in (True, False)])
     return out
+
+
+def _cones(theory):
+    """The fast backend's cone cache of a theory: goal letter -> cone letters."""
+    build = semantics._NuEntailer if classify(theory).is_nu else semantics._dual_entailer
+    return {x: cone.letters for x, cone in theory._rules[build]._cones.items()}
 
 
 def test_concurrent_queries_match_sequential():
@@ -415,7 +426,8 @@ def test_concurrent_queries_match_sequential():
         nu = parse_theory(text)
         return [nu, dualize(nu)]
 
-    sequential = [_answers(t) for t in fresh()]
+    compiled_alone = fresh()
+    sequential = [_answers(t) for t in compiled_alone]
     theories = fresh()
     assert not any(t._rules for t in theories)  # nothing compiled yet
     interval = sys.getswitchinterval()
@@ -427,3 +439,80 @@ def test_concurrent_queries_match_sequential():
     finally:
         sys.setswitchinterval(interval)
     assert results == sequential + sequential[::-1]
+    cones = [_cones(t) for t in theories]
+    assert cones == [_cones(t) for t in compiled_alone]
+    assert all(cones)
+
+
+# ---------------------------------------------------------------------------
+# Witness checks decided off the cone
+# ---------------------------------------------------------------------------
+
+
+def _counting_entails(monkeypatch):
+    calls = []
+    real = entails
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(outliers, "entails", counting)
+    return calls
+
+
+def test_off_cone_outlier_is_no_witness_without_entailment(cellphone, monkeypatch):
+    calls = _counting_entails(monkeypatch)
+    s = lits("MultipleIPs")  # its cone is {CreditNumber, MultipleIPs}
+    for backend in (FAST, EXHAUSTIVE):
+        assert not is_witness(cellphone, lits("CellUse"), s, backend)
+        assert not is_strong_witness(cellphone, lits("QuietTime"), s, backend)
+    assert calls == []
+    assert is_witness(cellphone, lits("CreditNumber"), s)
+    assert calls
+
+
+def test_off_cone_rule_matches_the_oracle_on_unary_theories():
+    for fragment in ("NU", "DNU", "NMU"):
+        for seed in range(20):
+            t = random_theory(fragment, 6, 8, 2, seed=seed)
+            oracle = ExhaustiveOracle(t)
+            facts = sorted(t.facts, key=str)
+            for l, s in itertools.permutations(facts[:4], 2):
+                l, s = frozenset([l]), frozenset([s])
+                for strong, check in ((False, is_witness), (True, is_strong_witness)):
+                    want = oracle.is_witness(l, s, strong)
+                    assert check(t, l, s) == want
+                    assert check(t, l, s, EXHAUSTIVE) == want
+
+
+def test_off_cone_rule_needs_unary_normal_rules():
+    # Not normal: the justification -d is no graph edge, so {a} is off the
+    # cone of {c} and still makes {c} a witness.
+    t = parse_theory("fact a. fact c. fact d. default : -d / d. default a : d / -a.")
+    assert "a" not in depgraph.influencing_letters(t, {"c"})
+    assert is_witness(t, lits("a"), lits("c"))
+    # Normal, but one rule concludes two letters: withdrawing {b} unblocks
+    # the rival of the rule that concludes -s.
+    t = parse_theory("fact b. fact s. default : s & -b / s & -b. default : -s / -s.")
+    assert classify(t).normal and not classify(t).is_nmu
+    assert "b" not in depgraph.influencing_letters(t, {"s"})
+    assert is_witness(t, lits("b"), lits("s"))
+    assert is_strong_witness(t, lits("b"), lits("s"))
+
+
+def test_witness_check_outside_the_backend_scope_still_raises():
+    nmu = parse_theory("fact a. fact b. fact c. default -a : b / b. default a : c / c.")
+    with pytest.raises(ScopeError):
+        is_witness(nmu, lits("c"), lits("b"), FAST)
+    with pytest.raises(ValueError):
+        is_witness(nmu, lits("c"), lits("b"), "bogus")
+
+
+def test_checker_rejects_inconsistent_facts_off_every_cone():
+    bad = NU_SMALL.with_facts(NU_SMALL.facts | lits("z", "-z"))
+    with pytest.raises(InvalidQueryError, match="facts must be consistent"):
+        is_witness(bad, lits("a"), lits("b"))
+    with pytest.raises(InvalidQueryError, match="facts must be consistent"):
+        recognize_strong(bad, lits("b"))
+    assert entails(bad, lits("-a"), FAST)

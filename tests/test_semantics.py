@@ -356,3 +356,88 @@ def classify_tag(t):
     from defoutlier import classify
 
     return classify(t).tag
+
+
+# ---------------------------------------------------------------------------
+# Cone locality of the fast backend
+# ---------------------------------------------------------------------------
+
+
+def _ancestors(theory, letter):
+    """The letter and every letter with a rule path to it, read off the rules."""
+    parents = {}
+    for d in theory.defaults:
+        for c in d.consequent:
+            parents.setdefault(c.letter, set()).update(p.letter for p in d.prerequisite)
+    seen, frontier = {letter}, [letter]
+    while frontier:
+        for p in parents.get(frontier.pop(), ()):
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return seen
+
+
+def _cone_subtheory(theory, letter):
+    """The rules concluding a letter of the goal's cone, and the cone's facts."""
+    cone = _ancestors(theory, letter)
+    return DefaultTheory(
+        [d for d in theory.defaults if any(c.letter in cone for c in d.consequent)],
+        [l for l in theory.facts if l.letter in cone],
+    )
+
+
+@pytest.mark.parametrize("n,fragment", [(400, "NU"), (600, "DNU"), (800, "NU"), (500, "DNU")])
+def test_fast_entails_matches_exhaustive_on_the_goal_cone(n, fragment):
+    theory = random_theory(fragment, n, 4 * n // 3, 1, seed=n + 7)
+    facts = sorted(theory.facts, key=str)
+    for variant in (theory, theory.remove_facts(facts[::3])):
+        for x in sorted(theory.letters()):
+            sub = _cone_subtheory(variant, x)
+            for q in (Literal(x, True), Literal(x, False)):
+                assert entails(variant, [q], FAST) == entails(sub, [q], EXHAUSTIVE), (x, q)
+
+
+def _reach_sizes(monkeypatch, theory, goals):
+    sizes = []
+    reach = semantics._NuEntailer._reach
+
+    def counting(self, *args):
+        seen = reach(self, *args)
+        sizes.append(len(seen))
+        return seen
+
+    monkeypatch.setattr(semantics._NuEntailer, "_reach", counting)
+    answers = [entails(theory, [q], FAST) for q in goals]
+    monkeypatch.undo()
+    return answers, sizes
+
+
+def _chain(first, prefix):
+    return [normal_rule(first, f"{prefix}0")] + [
+        normal_rule(f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(499)
+    ]
+
+
+def test_reach_ignores_rule_chains_off_the_goal_cone(monkeypatch):
+    # One 500-letter chain stands apart; another hangs below a positive
+    # fact, so a reach over the whole theory would walk down it.
+    base = random_theory("NU", 40, 53, 1, seed=11)
+    fact = min(l.letter for l in base.facts if l.positive)
+    chains = _chain("", "_y") + _chain(fact, "_c")
+    padded = DefaultTheory(base.defaults + tuple(chains), base.facts)
+    goals = [Literal(x, p) for x in sorted(base.letters()) for p in (True, False)]
+    answers, sizes = _reach_sizes(monkeypatch, base, goals)
+    padded_answers, padded_sizes = _reach_sizes(monkeypatch, padded, goals)
+    assert padded_answers == answers
+    assert sizes and padded_sizes == sizes
+    assert max(sizes) < 40
+
+
+def test_inconsistent_facts_off_every_cone_entail_everything():
+    t = parse_theory("fact a & z & -z. default a : b / b. default : -c / -c.")
+    for backend in (FAST, EXHAUSTIVE):
+        assert entails(t, lits("-b"), backend)
+        assert entails(t, lits("c"), backend)
+        assert entails(t.remove_facts(lits("a")), lits("-b"), backend)
+    assert not entails(t.remove_facts(lits("z")), lits("-b"), FAST)
