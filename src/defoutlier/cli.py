@@ -14,6 +14,7 @@ import sys
 
 from . import oracles, outliers
 from .core import (
+    LETTER,
     Literal,
     classify,
     format_literals,
@@ -46,11 +47,10 @@ def _literal_list(text: str) -> frozenset[Literal]:
         piece = piece.strip()
         if not piece:
             raise InvalidQueryError(f"empty literal in list {text!r}")
-        positive = not piece.startswith("-")
-        letter = piece if positive else piece[1:]
-        if not letter:
+        letter = piece.removeprefix("-")
+        if not LETTER.fullmatch(letter):
             raise InvalidQueryError(f"bad literal {piece!r}")
-        out.add(Literal(letter, positive))
+        out.add(Literal(letter, letter == piece))
     return frozenset(out)
 
 

@@ -9,11 +9,13 @@ conjunctions of literals.  The text format is line-oriented::
     % comments run to end of line
 
 ``-`` negates, ``&`` joins conjuncts, ``.`` terminates a statement, and the
-prerequisite may be omitted entirely ("default : b / b.").
+prerequisite may be omitted entirely ("default : b / b.").  One regex scanner
+tokenizes the format; a letter is ``[A-Za-z_][A-Za-z0-9_]*``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -282,133 +284,15 @@ def dualize(theory: DefaultTheory) -> DefaultTheory:
 # Text format
 # ---------------------------------------------------------------------------
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+# The letter syntax, shared with the CLI's literal lists.
+LETTER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Blanks and comments, a token (a letter or a symbol), or any other character.
+_TOKEN = re.compile(rf"[ \t\r\n]+|%[^\n]*|({LETTER.pattern}|[-&:/.])|(.)", re.DOTALL)
 
 
-@dataclass
-class _Token:
-    kind: str  # 'ident', '-', '&', ':', '/', '.'
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "-&:/.":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_START:
-            start = i
-            startcol = col
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", text[start:i], line, startcol))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], allow_reserved: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.allow_reserved = allow_reserved
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _error(self, message: str) -> ParseError:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.col + len(last.text) if last else 1
-            return ParseError(message + " (at end of input)", line, col)
-        return ParseError(message, tok.line, tok.col)
-
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
-            raise self._error(f"expected {what}")
-        self.pos += 1
-        return tok
-
-    def _literal(self) -> Literal:
-        tok = self._peek()
-        positive = True
-        if tok is not None and tok.kind == "-":
-            positive = False
-            self.pos += 1
-        ident = self._expect("ident", "a letter")
-        if not self.allow_reserved and ident.text.startswith(RESERVED_PREFIXES):
-            raise ReservedLetterError(
-                f"letter {ident.text!r} uses a prefix reserved for generated theories",
-                ident.line,
-                ident.col,
-            )
-        return Literal(ident.text, positive)
-
-    def _conjunction(self, what: str) -> frozenset[Literal]:
-        tok = self._peek()
-        if tok is None or (tok.kind not in ("ident", "-")):
-            raise self._error(f"empty {what}: expected a literal")
-        out = {self._literal()}
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == "&":
-                self.pos += 1
-                out.add(self._literal())
-            else:
-                return frozenset(out)
-
-    def parse(self) -> DefaultTheory:
-        facts: list[Literal] = []
-        defaults: list[DefaultRule] = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                break
-            if tok.kind != "ident" or tok.text not in ("fact", "default"):
-                raise self._error("expected 'fact' or 'default'")
-            self.pos += 1
-            if tok.text == "fact":
-                facts.extend(self._conjunction("fact"))
-                self._expect(".", "'.'")
-            else:
-                nxt = self._peek()
-                if nxt is not None and nxt.kind == ":":
-                    pre: frozenset[Literal] = frozenset()
-                else:
-                    pre = self._conjunction("prerequisite")
-                self._expect(":", "':'")
-                just = self._conjunction("justification")
-                self._expect("/", "'/'")
-                concl = self._conjunction("consequent")
-                self._expect(".", "'.'")
-                defaults.append(DefaultRule(pre, just, concl))
-        return DefaultTheory(defaults, facts)
+def _error_at(text: str, offset: int, message: str, kind: type[ParseError] = ParseError) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return kind(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def parse_theory(text: str, *, allow_reserved: bool = False) -> DefaultTheory:
@@ -417,7 +301,70 @@ def parse_theory(text: str, *, allow_reserved: bool = False) -> DefaultTheory:
     ``allow_reserved`` admits the ``_y/_c/_l/_f`` letter prefixes used by
     generated reduction theories.
     """
-    return _Parser(_tokenize(text), allow_reserved).parse()
+    tokens: list[tuple[str, int]] = []  # (text, offset), reversed below
+    for m in _TOKEN.finditer(text):
+        token, other = m.group(1, 2)
+        if other is not None:
+            raise _error_at(text, m.start(), f"unexpected character {other!r}")
+        if token is not None:
+            tokens.append((token, m.start()))
+    end = tokens[-1][1] + len(tokens[-1][0]) if tokens else 0
+    tokens.reverse()  # the next token is tokens[-1]
+
+    def peek() -> str:
+        return tokens[-1][0] if tokens else ""
+
+    def at_letter() -> bool:
+        return bool(tokens) and tokens[-1][0][0] not in "-&:/."
+
+    def error(message: str) -> ParseError:
+        if tokens:
+            return _error_at(text, tokens[-1][1], message)
+        return _error_at(text, end, message + " (at end of input)")
+
+    def expect(symbol: str) -> None:
+        if peek() != symbol:
+            raise error(f"expected {symbol!r}")
+        tokens.pop()
+
+    def literal() -> Literal:
+        positive = peek() != "-"
+        if not positive:
+            tokens.pop()
+        if not at_letter():
+            raise error("expected a letter")
+        letter, offset = tokens.pop()
+        if not allow_reserved and letter.startswith(RESERVED_PREFIXES):
+            message = f"letter {letter!r} uses a prefix reserved for generated theories"
+            raise _error_at(text, offset, message, ReservedLetterError)
+        return Literal(letter, positive)
+
+    def conjunction(what: str) -> frozenset[Literal]:
+        if not (at_letter() or peek() == "-"):
+            raise error(f"empty {what}: expected a literal")
+        out = {literal()}
+        while peek() == "&":
+            tokens.pop()
+            out.add(literal())
+        return frozenset(out)
+
+    facts: list[Literal] = []
+    defaults: list[DefaultRule] = []
+    while tokens:
+        keyword = peek()
+        if keyword not in ("fact", "default"):
+            raise error("expected 'fact' or 'default'")
+        tokens.pop()
+        if keyword == "fact":
+            facts.extend(conjunction("fact"))
+        else:
+            pre = frozenset() if peek() == ":" else conjunction("prerequisite")
+            expect(":")
+            just = conjunction("justification")
+            expect("/")
+            defaults.append(DefaultRule(pre, just, conjunction("consequent")))
+        expect(".")
+    return DefaultTheory(defaults, facts)
 
 
 def theory_to_text(theory: DefaultTheory) -> str:

@@ -381,28 +381,27 @@ class _NuEntailer:
         kept = set(targets)
         if kept & wpos:
             return False
-        while True:
+        # Reach only shrinks as ``kept`` grows, so a letter with no live
+        # attacker under a round's reach has none later either: each round
+        # closes the forced starvation with a worklist, and the next round
+        # rechecks every kept letter against the smaller reach.
+        grew = True
+        while grew:
             reach = self._reach(cone, wpos, wneg, kept)
             grew = False
-            for x in sorted(kept):
-                if x in wneg:
+            todo = list(kept)
+            while todo:
+                x = todo.pop()
+                if x in wneg or any(t is None or t in reach for t in self.neg_triggers.get(x, ())):
                     continue
-                attackers = self.neg_triggers.get(x, ())
-                if any(t is None or t in reach for t in attackers):
-                    continue
-                missing: set[str] = set()
                 for t in self.pos_triggers.get(x, ()):
-                    if t is None:
+                    if t is None or t in wpos:
                         return False
                     if t not in kept:
-                        missing.add(t)
-                if missing & wpos:
-                    return False
-                if missing:
-                    kept |= missing
-                    grew = True
-            if not grew:
-                return True
+                        kept.add(t)
+                        todo.append(t)
+                        grew = True
+        return True
 
     def skeptical(self, cone: _Cone, wpos: set[str], wneg: set[str], x: str, positive: bool) -> bool:
         """Whether every extension holds the literal (``x``, ``positive``);

@@ -49,6 +49,24 @@ def test_entails_exit_codes(capsys, tmp_path):
     assert (code, out) == (1, "not entailed\n")
 
 
+def test_malformed_literal_lists_exit_2(capsys, credit_file):
+    # Literal lists use the letter syntax of the theory text format.
+    for argv in (
+        ["entails", "--goal=b c"],
+        ["entails", "--goal=--b"],
+        ["entails", "--goal=CreditNumber,-"],
+        ["witness", "--L", "Credit|Number", "--S", "MultipleIPs"],
+        ["witness", "--L", "CreditNumber", "--S", "1MultipleIPs"],
+        ["recognize", "--L=-é"],
+    ):
+        code, out, err = run(capsys, *argv, credit_file)
+        assert (code, out) == (2, ""), argv
+        assert "bad literal" in err
+    # Reserved prefixes stay allowed, as in CLI theory input.
+    code, out, _ = run(capsys, "entails", "--goal", "CreditNumber,-_l0", credit_file)
+    assert (code, out) == (1, "not entailed\n")
+
+
 def test_witness_golden(capsys, credit_file):
     code, out, _ = run(capsys, "witness", "--L", "CreditNumber", "--S", "MultipleIPs", credit_file)
     assert code == 0

@@ -118,6 +118,53 @@ def test_parse_missing_terminator():
         parse_theory("fact a")
 
 
+def test_parse_errors_pin_message_and_position():
+    table = [
+        ("fact a.\nfact |b.", ParseError, "unexpected character '|'", 2, 6),
+        ("fact a", ParseError, "expected '.' (at end of input)", 1, 7),
+        ("fact -.", ParseError, "expected a letter", 1, 7),
+        ("fact a &", ParseError, "expected a letter (at end of input)", 1, 9),
+        ("default a : / b.", ParseError, "empty justification: expected a literal", 1, 13),
+        ("fact a. default a : b / .", ParseError, "empty consequent: expected a literal", 1, 25),
+        ("fact a. % c\n\tdefault a b / b.", ParseError, "expected ':'", 2, 12),
+        ("x.", ParseError, "expected 'fact' or 'default'", 1, 1),
+        (
+            "fact _l.",
+            ReservedLetterError,
+            "letter '_l' uses a prefix reserved for generated theories",
+            1,
+            6,
+        ),
+    ]
+    for text, kind, message, line, col in table:
+        with pytest.raises(ParseError) as err:
+            parse_theory(text)
+        assert type(err.value) is kind, text
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"{line}:{col}: {message}",
+            line,
+            col,
+        ), text
+
+
+_SOUP = [
+    "fact", "default", "a", "b2", "_l", "_y0", "-", "&", ":", "/", ".",
+    " ", "\n", "\t", "\r", "\f", "% c\n", "%", "|", "é", "7",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP), max_size=24), st.booleans())
+def test_parse_fails_only_with_positioned_parse_errors(soup, allow_reserved):
+    text = "".join(soup)
+    try:
+        parse_theory(text, allow_reserved=allow_reserved)
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.col <= len(lines[err.line - 1]) + 1
+
+
 def test_parse_rejects_reserved_letters_by_default():
     with pytest.raises(ReservedLetterError):
         parse_theory("fact _l.")

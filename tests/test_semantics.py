@@ -434,6 +434,15 @@ def test_reach_ignores_rule_chains_off_the_goal_cone(monkeypatch):
     assert max(sizes) < 40
 
 
+def test_positive_query_on_a_chain_reaches_at_most_twice(monkeypatch):
+    # Forced starvation runs down the whole chain within one round, so the
+    # query costs O(c) in its cone size c, not one reach per letter.
+    chain = [normal_rule("", "x0")] + [normal_rule(f"x{i}", f"x{i + 1}") for i in range(299)]
+    answers, sizes = _reach_sizes(monkeypatch, DefaultTheory(chain, lits("x0")), [Literal("x299")])
+    assert answers == [True]
+    assert 1 <= len(sizes) <= 2
+
+
 def test_inconsistent_facts_off_every_cone_entail_everything():
     t = parse_theory("fact a & z & -z. default a : b / b. default : -c / -c.")
     for backend in (FAST, EXHAUSTIVE):
