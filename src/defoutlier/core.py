@@ -15,6 +15,7 @@ tokenizes the format; a letter is ``[A-Za-z_][A-Za-z0-9_]*``.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -24,6 +25,8 @@ from .errors import ParseError, ReservedLetterError
 # Letter prefixes used for fresh letters in generated theories; rejected in
 # ordinary input so user letters can never collide with generated ones.
 RESERVED_PREFIXES = ("_y", "_c", "_l", "_f")
+# The letter syntax of the text format, shared with ``lit`` and the CLI.
+LETTER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 T = TypeVar("T")
 
@@ -53,11 +56,12 @@ class Literal:
 
 
 def lit(text: str) -> Literal:
-    """Parse a single literal written as ``name`` or ``-name``."""
+    """Parse a single literal written as ``name`` or ``-name``, where name matches ``LETTER``."""
     text = text.strip()
-    if text.startswith("-"):
-        return Literal(text[1:].strip(), False)
-    return Literal(text, True)
+    letter = text.removeprefix("-").strip()
+    if not LETTER.fullmatch(letter):
+        raise ValueError(f"bad letter {letter!r} in literal {text!r}")
+    return Literal(letter, letter == text)
 
 
 def lits(*texts: str) -> frozenset[Literal]:
@@ -169,7 +173,8 @@ def compiled(theory: "DefaultTheory", build: Callable[[tuple[DefaultRule, ...]],
 
 
 def _rule_letters(defaults: tuple[DefaultRule, ...]) -> frozenset[str]:
-    return frozenset().union(*(d.letters() for d in defaults))
+    parts = (part for d in defaults for part in (d.prerequisite, d.justification, d.consequent))
+    return frozenset(l.letter for part in parts for l in part)
 
 
 @dataclass(frozen=True)
@@ -284,8 +289,6 @@ def dualize(theory: DefaultTheory) -> DefaultTheory:
 # Text format
 # ---------------------------------------------------------------------------
 
-# The letter syntax, shared with the CLI's literal lists.
-LETTER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # Blanks and comments, a token (a letter or a symbol), or any other character.
 _TOKEN = re.compile(rf"[ \t\r\n]+|%[^\n]*|({LETTER.pattern}|[-&:/.])|(.)", re.DOTALL)
 
@@ -368,7 +371,11 @@ def parse_theory(text: str, *, allow_reserved: bool = False) -> DefaultTheory:
 
 
 def theory_to_text(theory: DefaultTheory) -> str:
-    """Render a theory in the text format (facts first, rules in order)."""
+    """Render a theory in the text format (facts first, rules in order);
+    raises ValueError on a letter the format cannot write back."""
+    bad = sorted(itertools.filterfalse(LETTER.fullmatch, theory.letters()))
+    if bad:
+        raise ValueError(f"letter {bad[0]!r} cannot be written in the text format")
     lines = [f"fact {l}." for l in sorted(theory.facts, key=literal_order)]
     lines.extend(f"default {d}." for d in theory.defaults)
     return "\n".join(lines) + ("\n" if lines else "")

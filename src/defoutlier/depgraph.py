@@ -5,7 +5,8 @@ some rule has x among its prerequisite letters and y among its consequent
 letters.  The SCC decomposition is ordered so that no later component can
 reach an earlier one, with ties broken by smallest member letter, which
 makes every downstream enumeration reproducible.  The graph and the order of
-the rule letters are compiled once per rule base.
+the rule letters are compiled once per rule base, and so is the ancestor cone
+of each rule letter, which every layer reads through ``influencing_letters``.
 """
 
 from __future__ import annotations
@@ -35,11 +36,22 @@ class _RuleGraph(NamedTuple):
     succ: dict[str, list[str]]
     pred: dict[str, list[str]]
     order: tuple[frozenset[str], ...]
+    cones: dict[str, frozenset[str]]
+
+    def cone(self, x: str) -> frozenset[str]:
+        """Letters with a path to ``x``: walked once and kept if ``x`` has
+        predecessors; otherwise ``x`` alone, never stored."""
+        cone = self.cones.get(x)
+        if cone is None:
+            if x not in self.pred:
+                return frozenset((x,))
+            cone = self.cones[x] = reach(self.pred, (x,))
+        return cone
 
 
 def _compile(defaults: tuple[DefaultRule, ...]) -> _RuleGraph:
     """Successor and predecessor lists of the dependency graph of the rules,
-    and the ordered SCCs of the rule letters.
+    the ordered SCCs of the rule letters, and an empty cone cache.
 
     Prerequisite-free rules contribute no edges.  For non-unary rules every
     prerequisite letter is connected to every consequent letter.
@@ -54,7 +66,7 @@ def _compile(defaults: tuple[DefaultRule, ...]) -> _RuleGraph:
                 pred.setdefault(y, set()).add(x)
     out = {x: sorted(v) for x, v in succ.items()}
     order = _ordered_sccs(_rule_letters(defaults), out)
-    return _RuleGraph(out, {y: sorted(v) for y, v in pred.items()}, order)
+    return _RuleGraph(out, {y: sorted(v) for y, v in pred.items()}, order, {})
 
 
 def build_graph(theory: DefaultTheory) -> DependencyGraph:
@@ -160,12 +172,17 @@ def influences(theory: DefaultTheory, s: Iterable[Literal], target: Literal) -> 
     Reachability is reflexive: a letter influences itself via the empty path,
     whether or not it occurs in the theory.
     """
-    return target.letter in reach(compiled(theory, _compile).succ, lett(s))
+    return not lett(s).isdisjoint(influencing_letters(theory, (target.letter,)))
 
 
 def influencing_letters(theory: DefaultTheory, targets: Iterable[str]) -> frozenset[str]:
-    """Letters with a (possibly empty) path to some target letter."""
-    return reach(compiled(theory, _compile).pred, targets)
+    """Letters with a (possibly empty) path to some target letter: the
+    union of the targets' cones, each kept once per rule base."""
+    graph = compiled(theory, _compile)
+    targets = tuple(targets)
+    if len(targets) == 1:
+        return graph.cone(targets[0])
+    return frozenset().union(*map(graph.cone, targets))
 
 
 def tightness(theory: DefaultTheory) -> int:

@@ -65,19 +65,23 @@ class OutlierReport:
 
 class _Checker:
     """Conditions 1 and 2 on one theory, for one public operation.  Rejects
-    inconsistent facts and, when ``op`` names a search, theories outside its
-    scope; ``entails`` alone resolves the ``auto`` backend."""
+    an unknown backend, inconsistent facts, the fast backend outside NU/DNU
+    and, when ``op`` names a search, theories outside its scope; ``entails``
+    alone resolves the ``auto`` backend."""
 
     def __init__(self, theory: DefaultTheory, strong: bool, backend: str, budget: int, op=None):
+        if backend not in (AUTO, EXHAUSTIVE, FAST):
+            raise ValueError(f"unknown backend {backend!r}")
         if not theory.consistent_facts():
             raise InvalidQueryError("facts must be consistent")
-        if op is not None:
-            frag = classify(theory)
-            if not frag.is_nmu:
-                raise ScopeError(f"{op} requires a normal mixed unary theory")
-            if not (frag.is_nu or frag.is_dnu):
-                if backend == FAST:
-                    raise ScopeError(f"{op} with the fast backend requires an NU or DNU theory")
+        frag = self.fragment = classify(theory)
+        if op is not None and not frag.is_nmu:
+            raise ScopeError(f"{op} requires a normal mixed unary theory")
+        if not (frag.is_nu or frag.is_dnu):
+            if backend == FAST:
+                what = op or "a witness check"
+                raise ScopeError(f"{what} with the fast backend requires an NU or DNU theory")
+            if op is not None:
                 logger.warning(
                     "%s on a mixed unary theory uses exhaustive entailment; "
                     "expect exponential cost",
@@ -126,9 +130,7 @@ def _check_witness(theory, outlier, witness, strong: bool, backend: str, budget:
     if not (l | s) <= theory.facts:
         raise InvalidQueryError("outlier and witness candidates must be subsets of the facts")
     check = _Checker(theory, strong, backend, budget)
-    frag = classify(theory)
-    answers = backend in (AUTO, EXHAUSTIVE) or backend == FAST and (frag.is_nu or frag.is_dnu)
-    if frag.is_nmu and answers and not lett(l) & influencing_letters(theory, lett(s)):
+    if check.fragment.is_nmu and lett(l).isdisjoint(influencing_letters(theory, lett(s))):
         # The rules are normal and unary, so the cone of S splits the theory:
         # withdrawing L off it leaves cond1's answer, and cond2 negates it.
         return False

@@ -17,8 +17,9 @@ normal and unary, so a predecessor-closed letter set is a splitting set
 (Turner, "Splitting a Default Theory", AAAI 1996) and nothing outside the
 cone changes the answer.  A goal literal whose cone has c letters, with e
 rules mentioning them, costs O(c * e) plus O(min(c, |W|)) for its fact
-letters, whatever the size of the theory; the cone is computed once per
-letter and rule base.  Both backends agree wherever the fast one applies,
+letters, whatever the size of the theory.  The cone comes from
+``depgraph.influencing_letters``, which keeps it once per letter and rule
+base for every layer.  Both backends agree wherever the fast one applies,
 as the test suite checks on large seeded random families.
 """
 
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .core import DefaultTheory, Literal, _rule_letters, classify, compiled, is_inconsistent, literal_order
+from .core import DefaultTheory, Literal, classify, compiled, is_inconsistent, literal_order
 from .depgraph import influencing_letters
 from .errors import BudgetExceededError, ScopeError
 
@@ -274,27 +275,6 @@ def find_proof(
 # ---------------------------------------------------------------------------
 
 
-class _Cone(NamedTuple):
-    """The ancestor cone of one goal letter: the only letters its answer
-    reads, since every trigger of a cone letter lies in the cone too."""
-
-    letters: frozenset[str]
-    literals: tuple[tuple[str, Literal, Literal], ...]  # (y, y, -y) per letter, shared
-    top: tuple[str, ...]  # cone letters a prerequisite-free positive rule concludes
-    inside: frozenset[str] | None  # letters ``_reach`` may enter; None: all
-
-    def fact_letters(self, facts: frozenset[Literal]) -> tuple[set[str], set[str]]:
-        """The cone letters of the positive and of the negative facts,
-        reading whichever of the cone and the facts is smaller."""
-        if len(self.literals) <= len(facts):
-            pos = {x for x, p, _ in self.literals if p in facts}
-            neg = {x for x, _, n in self.literals if n in facts}
-        else:
-            pos = {l.letter for l in facts if l.positive and l.letter in self.letters}
-            neg = {l.letter for l in facts if not l.positive and l.letter in self.letters}
-        return pos, neg
-
-
 class _NuEntailer:
     """Skeptical literal queries on an NU theory via countermodel search.
 
@@ -305,7 +285,7 @@ class _NuEntailer:
     closed under forced starvation while re-checking attacker liveness
     against the shrinking positive-reachability fixpoint decides
     feasibility exactly.  Every query runs inside the goal letter's
-    ancestor cone, computed once per letter.
+    ancestor cone, which the rule base's dependency graph keeps.
     """
 
     def __init__(self, defaults: Sequence):
@@ -327,56 +307,49 @@ class _NuEntailer:
                     self.pos_children.setdefault(trig, []).append(c.letter)
             else:
                 self.neg_triggers.setdefault(c.letter, []).append(trig)
-        self.letters = _rule_letters(defaults)
-        self._cones: dict[str, _Cone] = {}
-        self._literals: dict[str, tuple[str, Literal, Literal]] = {}
+        self._literals: dict[str, tuple[Literal, Literal]] = {}  # rule letter -> (x, -x)
 
-    def cone(self, theory: DefaultTheory, x: str) -> _Cone:
-        """The cone of letter ``x`` of ``theory``, one of this entailer's
-        fact variants.  Kept for the letters the rules mention, whose
-        ancestors are rule letters too; their literals are made once and
-        shared, so the cache holds little beyond the cones' letter sets."""
-        try:
-            return self._cones[x]
-        except KeyError:
-            pass
-        if x not in self.letters:  # its own cone; nothing is kept
-            alone = frozenset([x])
-            return _Cone(alone, ((x, Literal(x, True), Literal(x, False)),), (), alone)
-        letters = influencing_letters(theory, (x,))
+    def fact_letters(self, cone: frozenset[str], facts: frozenset[Literal]) -> tuple[set[str], set[str]]:
+        """The cone letters of the positive and of the negative facts,
+        reading whichever of the cone and the facts is smaller."""
+        if len(cone) > len(facts):
+            pos = {l.letter for l in facts if l.positive and l.letter in cone}
+            neg = {l.letter for l in facts if not l.positive and l.letter in cone}
+            return pos, neg
         literals = self._literals
-        for y in letters:
-            if y not in literals:
-                literals[y] = (y, Literal(y, True), Literal(y, False))
-        cone = self._cones[x] = _Cone(
-            letters,
-            tuple(literals[y] for y in letters),
-            tuple(y for y in letters if y in self.top_pos),
-            None if self.letters <= letters else letters,
-        )
-        return cone
+        pos, neg = set(), set()
+        for x in cone:
+            pair = literals.get(x)
+            if pair is None:
+                pair = Literal(x, True), Literal(x, False)
+                if len(cone) > 1 or x in self.pos_triggers or x in self.neg_triggers:
+                    literals[x] = pair  # rule letters only: all of a larger cone's are
+            if pair[0] in facts:
+                pos.add(x)
+            elif pair[1] in facts:
+                neg.add(x)
+        return pos, neg
 
-    def _reach(self, cone: _Cone, wpos: set[str], wneg: set[str], avoid: set[str]) -> set[str]:
+    def _reach(self, cone: frozenset[str], wpos: set[str], wneg: set[str], avoid: set[str]) -> set[str]:
         """Cone letters that can be made positive while every letter in
         ``avoid`` stays non-positive (facts are immovable; callers exclude
         them)."""
-        inside = cone.inside
         seen = set(wpos)
         frontier = list(seen)
-        for y in cone.top:
+        for y in self.top_pos & cone:
             if y not in seen and y not in wneg and y not in avoid:
                 seen.add(y)
                 frontier.append(y)
         while frontier:
             x = frontier.pop()
             for y in self.pos_children.get(x, ()):
-                if y not in seen and y not in wneg and y not in avoid and (inside is None or y in inside):
+                if y not in seen and y not in wneg and y not in avoid and y in cone:
                     seen.add(y)
                     frontier.append(y)
         return seen
 
     def _can_all_be_nonpositive(
-        self, cone: _Cone, wpos: set[str], wneg: set[str], targets: Iterable[str]
+        self, cone: frozenset[str], wpos: set[str], wneg: set[str], targets: Iterable[str]
     ) -> bool:
         kept = set(targets)
         if kept & wpos:
@@ -403,7 +376,7 @@ class _NuEntailer:
                         grew = True
         return True
 
-    def skeptical(self, cone: _Cone, wpos: set[str], wneg: set[str], x: str, positive: bool) -> bool:
+    def skeptical(self, cone: frozenset[str], wpos: set[str], wneg: set[str], x: str, positive: bool) -> bool:
         """Whether every extension holds the literal (``x``, ``positive``);
         ``cone`` is the cone of ``x`` and the fact letters lie inside it."""
         if positive:
@@ -444,8 +417,8 @@ def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal], nu: bool) -> b
     # polarities and negate the goal instead of building the dual theory.
     ent = compiled(theory, _NuEntailer if nu else _dual_entailer)
     for q in goal:
-        cone = ent.cone(theory, q.letter)
-        pos, neg = cone.fact_letters(theory.facts)
+        cone = influencing_letters(theory, (q.letter,))
+        pos, neg = ent.fact_letters(cone, theory.facts)
         if not nu:
             pos, neg = neg, pos
         if not ent.skeptical(cone, pos, neg, q.letter, q.positive == nu):

@@ -49,6 +49,22 @@ def test_empty_letter_rejected():
         Literal("")
 
 
+def test_letters_the_text_format_cannot_write_are_rejected():
+    for text in ("b c", "-b c", "x-y", "1a", "a.", "-", "--b", ""):
+        with pytest.raises(ValueError):
+            lit(text)
+    with pytest.raises(ValueError):
+        rule("a", "x-y", "x-y")
+    with pytest.raises(ValueError):
+        normal_rule("b c", "d")
+    assert lit(" - _a1 ") == Literal("_a1", False)
+    with pytest.raises(ValueError, match="'b c'"):
+        theory_to_text(DefaultTheory([], [Literal("b c")]))
+    odd = frozenset([Literal("x-y")])
+    with pytest.raises(ValueError, match="'x-y'"):
+        theory_to_text(DefaultTheory([DefaultRule(lits("a"), odd, odd)], lits("a")))
+
+
 def test_rule_requires_justification_and_consequent():
     with pytest.raises(ValueError):
         DefaultRule(frozenset(), frozenset(), lits("b"))

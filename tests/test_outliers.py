@@ -414,9 +414,8 @@ def _answers(theory):
 
 
 def _cones(theory):
-    """The fast backend's cone cache of a theory: goal letter -> cone letters."""
-    build = semantics._NuEntailer if classify(theory).is_nu else semantics._dual_entailer
-    return {x: cone.letters for x, cone in theory._rules[build]._cones.items()}
+    """The rule base's cone cache: rule letter -> its ancestor cone."""
+    return theory._rules[depgraph._compile].cones
 
 
 def test_concurrent_queries_match_sequential():
@@ -442,6 +441,35 @@ def test_concurrent_queries_match_sequential():
     cones = [_cones(t) for t in theories]
     assert cones == [_cones(t) for t in compiled_alone]
     assert all(cones)
+
+
+def test_each_cone_is_walked_once_across_layers(monkeypatch):
+    theory = random_theory("NU", 60, 80, 1, 808)
+    facts = _sorted_facts(theory)
+    starts = []
+    reach = depgraph.reach
+
+    def counting_reach(adjacency, sources):
+        sources = list(sources)
+        starts.extend(sources)
+        return reach(adjacency, sources)
+
+    def one_pass():
+        enumerate_strong(theory, 1)
+        for s, l in zip(facts, facts[1:]):
+            is_strong_witness(theory, [l], [s])
+        for x in sorted(theory.letters()):
+            entails(theory, [Literal(x, True)])
+            entails(theory, [Literal(x, False)])
+
+    monkeypatch.setattr(depgraph, "reach", counting_reach)
+    one_pass()
+    pred = theory._rules[depgraph._compile].pred
+    first = [x for x in starts if x in pred]
+    assert first and len(first) == len(set(first))
+    del starts[:]
+    one_pass()
+    assert [x for x in starts if x in pred] == []
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +535,13 @@ def test_witness_check_outside_the_backend_scope_still_raises():
         is_witness(nmu, lits("c"), lits("b"), FAST)
     with pytest.raises(ValueError):
         is_witness(nmu, lits("c"), lits("b"), "bogus")
+
+
+def test_unknown_backend_is_rejected_without_entailment():
+    with pytest.raises(ValueError, match="unknown backend"):
+        recognize_strong(parse_theory("fact a. default a : b / b."), lits("a"), "bogus")
+    with pytest.raises(ValueError, match="unknown backend"):
+        enumerate_strong(parse_theory(""), 1, "bogus")
 
 
 def test_checker_rejects_inconsistent_facts_off_every_cone():

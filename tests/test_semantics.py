@@ -450,3 +450,13 @@ def test_inconsistent_facts_off_every_cone_entail_everything():
         assert entails(t, lits("c"), backend)
         assert entails(t.remove_facts(lits("a")), lits("-b"), backend)
     assert not entails(t.remove_facts(lits("z")), lits("-b"), FAST)
+
+
+def test_entailer_keeps_literals_of_rule_letters_only():
+    t = random_theory("NU", 60, 80, 1, 808)
+    letters = sorted(t.letters())
+    for x in letters + [f"absent{i}" for i in range(20)]:
+        entails(t, [Literal(x)])
+    table = t._rules[semantics._NuEntailer]._literals
+    rule_letters = {l.letter for d in t.defaults for l in d.prerequisite | d.consequent}
+    assert table and set(table) <= rule_letters
