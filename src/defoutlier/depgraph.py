@@ -7,13 +7,15 @@ reach an earlier one, with ties broken by smallest member letter, which
 makes every downstream enumeration reproducible.  The graph and the order of
 the rule letters are compiled once per rule base, and so is the ancestor cone
 of each rule letter, which every layer reads through ``influencing_letters``.
+One frontier walk, ``reach``, serves both the cones and the fast backend's
+positive-reachability fixpoint.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import DefaultRule, DefaultTheory, Literal, _rule_letters, compiled, lett
 
@@ -45,7 +47,8 @@ class _RuleGraph(NamedTuple):
         if cone is None:
             if x not in self.pred:
                 return frozenset((x,))
-            cone = self.cones[x] = reach(self.pred, (x,))
+            # Every predecessor has a successor: ``succ``'s keys hold every letter the walk enters.
+            cone = self.cones[x] = frozenset(reach(self.pred, (x,), self.succ, ()))
         return cone
 
 
@@ -154,16 +157,20 @@ def decompose(theory: DefaultTheory) -> SccDecomposition:
     return SccDecomposition(components, max(map(len, components), default=0))
 
 
-def reach(adjacency: Mapping[str, Iterable[str]], sources: Iterable[str]) -> frozenset[str]:
-    """The sources and every letter reachable from them along ``adjacency``."""
+def reach(
+    adjacency: Mapping[str, Iterable[str]], sources: Iterable[str], allowed: Container[str], blocked: Container[str]
+) -> set[str]:
+    """The sources and every letter reachable from them along ``adjacency``,
+    entering only letters in ``allowed`` and not in ``blocked``.  The one
+    walk behind the ancestor cones and the NU positive-reachability fixpoint."""
     seen = set(sources)
     frontier = list(seen)
     while frontier:
         for w in adjacency.get(frontier.pop(), ()):
-            if w not in seen:
+            if w not in seen and w in allowed and w not in blocked:
                 seen.add(w)
                 frontier.append(w)
-    return frozenset(seen)
+    return seen
 
 
 def influences(theory: DefaultTheory, s: Iterable[Literal], target: Literal) -> bool:

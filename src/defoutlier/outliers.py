@@ -229,11 +229,12 @@ def _enumerate(
             check.stats.candidates_examined += 1
             if not check.cond2(core, s_set):
                 continue
-            if far is None:
-                far = [l for l in facts_sorted if l.letter not in cone]
             hits.setdefault(core, []).append(s_set)
-            for pad in _subsets(far, k - len(core)):
-                hits.setdefault(core | frozenset(pad), []).append(s_set)
+            if len(core) < k:  # room for a pad of off-cone facts
+                if far is None:
+                    far = [l for l in facts_sorted if l.letter not in cone]
+                for pad in _subsets(far, k - len(core)):
+                    hits.setdefault(core | frozenset(pad), []).append(s_set)
 
     reports = [
         OutlierReport(l_set, tuple(wits), strong, check.stats)

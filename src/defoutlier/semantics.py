@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import DefaultTheory, Literal, classify, compiled, is_inconsistent, literal_order
-from .depgraph import influencing_letters
+from .depgraph import influencing_letters, reach
 from .errors import BudgetExceededError, ScopeError
 
 EXHAUSTIVE = "exhaustive"
@@ -285,7 +285,8 @@ class _NuEntailer:
     closed under forced starvation while re-checking attacker liveness
     against the shrinking positive-reachability fixpoint decides
     feasibility exactly.  Every query runs inside the goal letter's
-    ancestor cone, which the rule base's dependency graph keeps.
+    ancestor cone, which the rule base's dependency graph keeps, and the
+    fixpoint is one ``depgraph.reach`` walk, the routine behind the cones.
     """
 
     def __init__(self, defaults: Sequence):
@@ -334,19 +335,8 @@ class _NuEntailer:
         """Cone letters that can be made positive while every letter in
         ``avoid`` stays non-positive (facts are immovable; callers exclude
         them)."""
-        seen = set(wpos)
-        frontier = list(seen)
-        for y in self.top_pos & cone:
-            if y not in seen and y not in wneg and y not in avoid:
-                seen.add(y)
-                frontier.append(y)
-        while frontier:
-            x = frontier.pop()
-            for y in self.pos_children.get(x, ()):
-                if y not in seen and y not in wneg and y not in avoid and y in cone:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+        blocked = wneg | avoid
+        return reach(self.pos_children, wpos | (self.top_pos & cone) - blocked, cone, blocked)
 
     def _can_all_be_nonpositive(
         self, cone: frozenset[str], wpos: set[str], wneg: set[str], targets: Iterable[str]

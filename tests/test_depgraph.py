@@ -100,7 +100,25 @@ def test_decompose_ordering_no_backward_path():
         adj.setdefault(a, []).append(b)
     for i, ci in enumerate(d.components):
         for cj in d.components[i + 1 :]:
-            assert not (reach(adj, cj) & ci)
+            assert not (reach(adj, cj, g.vertices, ()) & ci)
+
+
+@pytest.mark.parametrize(
+    "sources,allowed,blocked,expected",
+    [
+        ("a", "abcd", "", "abcd"),
+        ("a", "abc", "", "abc"),  # d is not allowed
+        ("a", "abcd", "b", "acd"),  # d is still entered through c
+        ("a", "abcd", "bc", "a"),
+        ("c", "abcd", "a", "cd"),  # the cycle back to a is blocked
+        ("ad", "", "ad", "ad"),  # sources are returned even when not enterable
+        ("e", "abcde", "", "e"),  # a source with no successors
+        ("", "abcd", "", ""),
+    ],
+)
+def test_reach_enters_only_allowed_unblocked_letters(sources, allowed, blocked, expected):
+    adj = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": ["a"]}
+    assert reach(adj, sources, set(allowed), set(blocked)) == set(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -111,7 +129,7 @@ def test_decompose_matches_definition(t):
     for d in t.defaults:
         for x in lett(d.prerequisite):
             adj.setdefault(x, set()).update(lett(d.consequent))
-    reaches = {x: reach(adj, [x]) for x in t.letters()}
+    reaches = {x: reach(adj, [x], t.letters(), ()) for x in t.letters()}
     d = decompose(t)
     comps = d.components
     assert all(comps) and sum(map(len, comps)) == len(t.letters())

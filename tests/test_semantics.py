@@ -332,6 +332,36 @@ def test_fast_equals_exhaustive(seed, fragment):
             assert entails(t, [q], FAST) == want
 
 
+@st.composite
+def nu_theories(draw):
+    """An NU or DNU theory over letters a-h and a variant of it with up to two
+    facts withdrawn.  Rules are unary and normal, some with no prerequisite,
+    and may form cycles; facts may sit on letters no rule mentions (u, v)."""
+    positive = draw(st.booleans())  # the prerequisite polarity: NU or DNU
+    letters = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
+    letter = st.sampled_from(letters)
+    conclusion = st.builds(Literal, letter, st.booleans())
+    rules = []
+    for p, c in draw(st.lists(st.tuples(st.none() | letter, conclusion), max_size=10)):
+        pre = frozenset() if p is None else frozenset({Literal(p, positive)})
+        rules.append(DefaultRule(pre, frozenset({c}), frozenset({c})))
+    fact_letters = draw(st.lists(st.sampled_from(letters + ["u", "v"]), max_size=5, unique=True))
+    facts = [Literal(x, draw(st.booleans())) for x in fact_letters]
+    theory = DefaultTheory(rules, facts)
+    withdrawn = draw(st.lists(st.sampled_from(facts), max_size=2)) if facts else []
+    return theory, theory.remove_facts(withdrawn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu_theories())
+def test_fast_equals_exhaustive_on_structured_theories(theories):
+    for t in theories:
+        exts = extensions(t)
+        for x in sorted(t.letters()) + ["z"]:
+            for q in (Literal(x, True), Literal(x, False)):
+                assert entails(t, [q], FAST) == all(e.contains(q) for e in exts), q
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_normal_theories_coherent_and_semi_monotonic(seed):
