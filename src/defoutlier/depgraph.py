@@ -7,8 +7,9 @@ reach an earlier one, with ties broken by smallest member letter, which
 makes every downstream enumeration reproducible.  The graph and the order of
 the rule letters are compiled once per rule base, and so is the ancestor cone
 of each rule letter, which every layer reads through ``influencing_letters``.
-One frontier walk, ``reach``, serves both the cones and the fast backend's
-positive-reachability fixpoint.
+One frontier walk, ``reach``, serves the cones, their mirror
+``downstream_components`` and the fast backend's positive-reachability
+fixpoint.
 """
 
 from __future__ import annotations
@@ -190,6 +191,15 @@ def influencing_letters(theory: DefaultTheory, targets: Iterable[str]) -> frozen
     if len(targets) == 1:
         return graph.cone(targets[0])
     return frozenset().union(*map(graph.cone, targets))
+
+
+def downstream_components(theory: DefaultTheory, sources: Iterable[str]) -> Iterator[frozenset[str]]:
+    """The rule letters' components, in ``decompose`` order, that some source
+    letter reaches by a (possibly empty) path: the mirror of
+    ``influencing_letters``, walked per call along the compiled graph."""
+    graph = compiled(theory, _compile)
+    below = reach(graph.succ, sources, graph.pred, ())
+    return (comp for comp in graph.order if not below.isdisjoint(comp))
 
 
 def tightness(theory: DefaultTheory) -> int:

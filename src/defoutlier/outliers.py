@@ -11,9 +11,10 @@ Strong-outlier search exploits two structural facts: every inclusion-
 minimal strong witness has all of its letters inside a single strongly
 connected component of the dependency graph, and removing fact literals
 whose letters cannot reach the witness letters never changes the checks.
-The first restricts witness candidates; the second confines outlier checks
-to "cores" on the witness's influence cone, and pads each passing core with
-off-cone facts without another entailment.
+The first restricts witness candidates; the second confines recognition's
+candidates to the components downstream of L, and enumeration's outlier
+checks to "cores" on the witness's influence cone, padding each passing core
+with off-cone facts without another entailment.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     literal_order,
     negate_all,
 )
-from .depgraph import decompose, influencing_letters
+from .depgraph import decompose, downstream_components, influencing_letters
 from .errors import InvalidQueryError, ScopeError
 from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
 
@@ -160,12 +161,12 @@ def is_strong_witness(
     return _check_witness(theory, outlier, witness, True, backend, budget)
 
 
-def _witness_pool(theory: DefaultTheory, exclude: LiteralSet) -> list[list[Literal]]:
-    """Fact literals grouped by ordered SCC, excluding the outlier candidate."""
+def _witness_pool(theory: DefaultTheory) -> list[list[Literal]]:
+    """Fact literals grouped by ordered SCC."""
     components = decompose(theory).components
     comp_of = {v: i for i, comp in enumerate(components) for v in comp}
     pools: list[list[Literal]] = [[] for _ in components]
-    for l in sorted(theory.facts - exclude, key=literal_order):
+    for l in sorted(theory.facts, key=literal_order):
         pools[comp_of[l.letter]].append(l)
     return pools
 
@@ -187,15 +188,25 @@ def recognize_strong(
 
     Candidate witnesses are drawn per strongly connected component, which is
     complete because a strong outlier always has an inclusion-minimal
-    witness whose letters share one component.  By default the first witness
-    found is returned; ``all_witnesses`` collects every single-component one.
+    witness whose letters share one component.  Only the components
+    downstream of L are read: the rules are normal and unary, so withdrawing
+    L off the cone of S leaves condition 1 standing and condition 2 fails.
+    By default the first witness found is returned; ``all_witnesses``
+    collects every single-component one.
     """
     outlier = frozenset(outlier)
     if not outlier or not outlier <= theory.facts:
         raise InvalidQueryError("outlier candidate must be a nonempty subset of the facts")
     check = _Checker(theory, True, backend, budget, "recognize_strong")
+    # Downstream of L lie only rule letters and L's own letters, which carry
+    # no other fact as facts are consistent: the rule components hold every pool.
+    pools = (
+        [l for x in sorted(comp) for l in (Literal(x), Literal(x, False))
+         if l in theory.facts and l not in outlier]
+        for comp in downstream_components(theory, lett(outlier))
+    )
     found: list[LiteralSet] = []
-    for s in check.candidates(_witness_pool(theory, outlier)):
+    for s in check.candidates(pools):
         if check.cond2(outlier, s):
             found.append(s)
             if not all_witnesses:
@@ -217,7 +228,7 @@ def _enumerate(
     check = _Checker(theory, strong, backend, budget, op)
     facts_sorted = sorted(theory.facts, key=literal_order)
     fact_of = {l.letter: l for l in facts_sorted}  # consistent: one fact per letter
-    pools = _witness_pool(theory, frozenset()) if strong else [facts_sorted]
+    pools = _witness_pool(theory) if strong else [facts_sorted]
 
     hits: dict[LiteralSet, list[LiteralSet]] = {}
     for s_set in check.candidates(pools, h):

@@ -22,7 +22,7 @@ from defoutlier import (
     to_dot,
 )
 from defoutlier.core import lett, normal_rule
-from defoutlier.depgraph import reach
+from defoutlier.depgraph import downstream_components, reach
 
 
 def chain(*pairs):
@@ -177,6 +177,19 @@ def test_influences_monotone_in_s(t, data):
         target = lit(x)
         if influences(t, s_small, target):
             assert influences(t, s_big, target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theories(), st.data())
+def test_downstream_components_match_definition(t, data):
+    sources = data.draw(st.frozensets(st.sampled_from(sorted(t.letters() | {"u"})), max_size=2))
+    edges = build_graph(t).edges
+    below = set(sources)
+    while more := {y for x, y in edges if x in below} - below:
+        below |= more
+    rule_letters = frozenset().union(*(d.letters() for d in t.defaults))
+    want = [c for c in decompose(t).components if c <= rule_letters and c & below]
+    assert list(downstream_components(t, sources)) == want
 
 
 def test_tightness_examples(cellphone):

@@ -169,8 +169,32 @@ def test_recognize_all_witnesses_are_the_strong_single_scc_candidates(cellphone)
     assert found >= 20
 
 
+def test_recognize_all_witnesses_match_the_definition():
+    # Independent of the off-cone rule: the expected witnesses are the
+    # single-SCC candidates, in candidate order, that pass the exhaustive
+    # definition-level check.
+    found = {}
+    for fragment, backend in (("NU", FAST), ("DNU", FAST), ("NMU", EXHAUSTIVE)):
+        found[fragment] = 0
+        for seed in range(60):
+            t = random_theory(fragment, 6 + seed % 3, 16, 2, seed=seed)
+            oracle = ExhaustiveOracle(t)
+            facts = _sorted_facts(t)
+            for f in facts:
+                rest = [x for x in facts if x != f]
+                want = tuple(
+                    frozenset(s)
+                    for comp in decompose(t).components
+                    for s in nonempty_subsets([x for x in rest if x.letter in comp])
+                    if oracle.is_witness(frozenset([f]), frozenset(s), strong=True)
+                )
+                assert recognize_strong(t, [f], backend, all_witnesses=True).witnesses == want
+                found[fragment] += len(want)
+    assert min(found.values()) >= 10, found
+
+
 def test_recognize_stats_counted(cellphone):
-    rep = recognize_strong(cellphone, lits("MultipleIPs"), all_witnesses=True)
+    rep = recognize_strong(cellphone, lits("CellUse"), all_witnesses=True)
     assert rep.search_stats.candidates_examined > 0
     assert rep.search_stats.entailment_calls > 0
 
@@ -499,6 +523,21 @@ def test_off_cone_outlier_is_no_witness_without_entailment(cellphone, monkeypatc
     assert calls == []
     assert is_witness(cellphone, lits("CreditNumber"), s)
     assert calls
+
+
+def test_recognize_reads_only_downstream_of_the_outlier(monkeypatch):
+    # A fact whose letter is no rule's prerequisite reaches no other letter,
+    # so no witness candidate has it on its cone.
+    calls = _counting_entails(monkeypatch)
+    for seed in range(3):
+        t = random_theory("NU", 400, 533, 1, seed=seed)
+        prerequisites = {p.letter for d in t.defaults for p in d.prerequisite}
+        leaf = next(f for f in _sorted_facts(t) if f.letter not in prerequisites)
+        rep = recognize_strong(t, [leaf])
+        assert not rep.found
+        assert rep.search_stats.candidates_examined == 0
+        assert rep.search_stats.entailment_calls == 0
+    assert calls == []
 
 
 def test_off_cone_rule_matches_the_oracle_on_unary_theories():
