@@ -67,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
-        p.add_argument("--backend", choices=["auto", "exhaustive", "fast"], default="auto")
+    def add_common(p, backend=True):
+        if backend:  # extensions is always the exhaustive search
+            p.add_argument("--backend", choices=["auto", "exhaustive", "fast"], default="auto")
         p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="node cap for exhaustive search")
         p.add_argument("theory", help="theory file path, or - for stdin")
 
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
 
     p = sub.add_parser("extensions", help="list all signature sets")
-    add_common(p)
+    add_common(p, backend=False)
 
     p = sub.add_parser("entails", help="skeptical entailment of a literal set")
     p.add_argument("--goal", required=True, help="comma-separated literals, - negates")

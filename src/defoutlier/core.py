@@ -185,44 +185,57 @@ class DefaultTheory:
     literal set.  Instances are immutable and safe to share.  Fact-set
     variants made by ``with_facts`` and ``remove_facts`` share one
     ``RuleBase``, which takes no part in equality, hashing or ``repr``.
-    Nor does the consistency mark: ``consistent_facts`` decides it once,
-    and ``remove_facts`` hands a known-consistent mark on, since a subset of
-    consistent facts is consistent.
+    Nor does the fact index, each fact letter's polarity: ``fact_index``
+    builds it on first need, only for consistent facts, and ``remove_facts``
+    hands a copy on without the removed facts, since a subset of consistent
+    facts is consistent.
     """
 
     defaults: tuple[DefaultRule, ...]
     facts: frozenset[Literal]
     _rules: RuleBase = field(init=False, compare=False, repr=False)
-    _consistent: bool | None = field(init=False, compare=False, repr=False)
+    _index: dict[str, bool] | None = field(init=False, compare=False, repr=False)
 
     def __init__(self, defaults: Iterable[DefaultRule], facts: Iterable[Literal]):
         deduplicated = tuple(dict.fromkeys(defaults))
         object.__setattr__(self, "defaults", deduplicated)
         object.__setattr__(self, "facts", frozenset(facts))
         object.__setattr__(self, "_rules", RuleBase())
-        object.__setattr__(self, "_consistent", None)
+        object.__setattr__(self, "_index", None)
 
     def letters(self) -> frozenset[str]:
         return compiled(self, _rule_letters) | lett(self.facts)
 
+    def fact_index(self) -> dict[str, bool] | None:
+        """Each fact letter mapped to its polarity, or None when the facts
+        are inconsistent (decided again on every call); do not mutate."""
+        if self._index is None and not is_inconsistent(self.facts):
+            object.__setattr__(self, "_index", {l.letter: l.positive for l in self.facts})
+        return self._index
+
     def consistent_facts(self) -> bool:
-        """True iff no fact contradicts another; decided once per lineage."""
-        if self._consistent is None:
-            object.__setattr__(self, "_consistent", not is_inconsistent(self.facts))
-        return self._consistent
+        """True iff no fact contradicts another."""
+        return self.fact_index() is not None
 
     def with_facts(self, facts: Iterable[Literal]) -> "DefaultTheory":
         return self._variant(frozenset(facts), None)
 
     def remove_facts(self, removed: Iterable[Literal]) -> "DefaultTheory":
-        return self._variant(self.facts - frozenset(removed), self._consistent or None)
+        removed = frozenset(removed)
+        index = self._index
+        if index is not None:
+            index = dict(index)
+            for l in removed:
+                if index.get(l.letter) == l.positive:  # removing -a leaves a fact a
+                    del index[l.letter]
+        return self._variant(self.facts - removed, index)
 
-    def _variant(self, facts: frozenset[Literal], consistent: bool | None) -> "DefaultTheory":
+    def _variant(self, facts: frozenset[Literal], index: dict[str, bool] | None) -> "DefaultTheory":
         variant = object.__new__(DefaultTheory)
         object.__setattr__(variant, "defaults", self.defaults)
         object.__setattr__(variant, "facts", facts)
         object.__setattr__(variant, "_rules", self._rules)
-        object.__setattr__(variant, "_consistent", consistent)
+        object.__setattr__(variant, "_index", index)
         return variant
 
     def __iter__(self) -> Iterator[DefaultRule]:

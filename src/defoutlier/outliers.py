@@ -46,7 +46,8 @@ LiteralSet = frozenset[Literal]
 @dataclass
 class SearchStats:
     """Counters: candidates tried and entails() invocations made.  Enumeration
-    counts witness candidates and influence-cone cores, not padded outliers."""
+    counts witness candidates (one with no other fact on its influence cone
+    makes no entailment) and influence-cone cores, not padded outliers."""
 
     candidates_examined: int = 0
     entailment_calls: int = 0
@@ -111,13 +112,12 @@ class _Checker:
         return True
 
     def candidates(self, pools, max_size: int | None = None) -> Iterator[LiteralSet]:
-        """The witness candidates passing condition 1, in order: the subsets
-        of each pool, of size at most ``max_size``.  Each one tried counts."""
+        """The witness candidates in order: the subsets of each pool, of size
+        at most ``max_size``.  Each one counts; the caller checks condition 1."""
         for pool in pools:
             for s in map(frozenset, _subsets(pool, max_size)):
                 self.stats.candidates_examined += 1
-                if self.cond1(s):
-                    yield s
+                yield s
 
 
 def _check_witness(theory, outlier, witness, strong: bool, backend: str, budget: int) -> bool:
@@ -198,16 +198,16 @@ def recognize_strong(
     if not outlier or not outlier <= theory.facts:
         raise InvalidQueryError("outlier candidate must be a nonempty subset of the facts")
     check = _Checker(theory, True, backend, budget, "recognize_strong")
-    # Downstream of L lie only rule letters and L's own letters, which carry
-    # no other fact as facts are consistent: the rule components hold every pool.
+    # Downstream of L lie only rule letters and L's own letters, and consistent
+    # facts put no fact but L's on those: the rule components hold every pool.
+    index, own = theory.fact_index(), lett(outlier)
     pools = (
-        [l for x in sorted(comp) for l in (Literal(x), Literal(x, False))
-         if l in theory.facts and l not in outlier]
-        for comp in downstream_components(theory, lett(outlier))
+        [Literal(x, index[x]) for x in sorted(comp) if x in index and x not in own]
+        for comp in downstream_components(theory, own)
     )
     found: list[LiteralSet] = []
     for s in check.candidates(pools):
-        if check.cond2(outlier, s):
+        if check.cond1(s) and check.cond2(outlier, s):
             found.append(s)
             if not all_witnesses:
                 break
@@ -226,15 +226,18 @@ def _enumerate(
         raise InvalidQueryError("outlier size bound k must be >= 1")
     op = "enumerate_strong" if strong else "enumerate_general"
     check = _Checker(theory, strong, backend, budget, op)
+    index = theory.fact_index()  # the checker has rejected inconsistent facts
     facts_sorted = sorted(theory.facts, key=literal_order)
-    fact_of = {l.letter: l for l in facts_sorted}  # consistent: one fact per letter
     pools = _witness_pool(theory) if strong else [facts_sorted]
 
     hits: dict[LiteralSet, list[LiteralSet]] = {}
     for s_set in check.candidates(pools, h):
-        # Incremental lemma: only facts on the influence cone of S matter.
+        # Incremental lemma: only facts on the influence cone of S matter, so
+        # a candidate with no other fact there yields no outlier and skips cond1.
         cone = influencing_letters(theory, lett(s_set))
-        near = sorted({fact_of[x] for x in cone if x in fact_of} - s_set, key=literal_order)
+        near = sorted({Literal(x, index[x]) for x in index.keys() & cone} - s_set, key=literal_order)
+        if not near or not check.cond1(s_set):
+            continue
         far = None
         for core in map(frozenset, _subsets(near, k)):
             check.stats.candidates_examined += 1

@@ -16,8 +16,9 @@ ancestor cone, the letters with a rule path to it: NU and DNU rules are
 normal and unary, so a predecessor-closed letter set is a splitting set
 (Turner, "Splitting a Default Theory", AAAI 1996) and nothing outside the
 cone changes the answer.  A goal literal whose cone has c letters, with e
-rules mentioning them, costs O(c * e) plus O(min(c, |W|)) for its fact
-letters, whatever the size of the theory.  The cone comes from
+rules mentioning them, costs O(c * e), whatever the size of the theory: its
+fact letters are the cone intersected with the theory's fact index, O(c),
+which that bound covers.  The cone comes from
 ``depgraph.influencing_letters``, which keeps it once per letter and rule
 base for every layer.  Both backends agree wherever the fast one applies,
 as the test suite checks on large seeded random families.
@@ -287,6 +288,7 @@ class _NuEntailer:
     feasibility exactly.  Every query runs inside the goal letter's
     ancestor cone, which the rule base's dependency graph keeps, and the
     fixpoint is one ``depgraph.reach`` walk, the routine behind the cones.
+    The entailer holds no per-query state and never changes once built.
     """
 
     def __init__(self, defaults: Sequence):
@@ -308,28 +310,6 @@ class _NuEntailer:
                     self.pos_children.setdefault(trig, []).append(c.letter)
             else:
                 self.neg_triggers.setdefault(c.letter, []).append(trig)
-        self._literals: dict[str, tuple[Literal, Literal]] = {}  # rule letter -> (x, -x)
-
-    def fact_letters(self, cone: frozenset[str], facts: frozenset[Literal]) -> tuple[set[str], set[str]]:
-        """The cone letters of the positive and of the negative facts,
-        reading whichever of the cone and the facts is smaller."""
-        if len(cone) > len(facts):
-            pos = {l.letter for l in facts if l.positive and l.letter in cone}
-            neg = {l.letter for l in facts if not l.positive and l.letter in cone}
-            return pos, neg
-        literals = self._literals
-        pos, neg = set(), set()
-        for x in cone:
-            pair = literals.get(x)
-            if pair is None:
-                pair = Literal(x, True), Literal(x, False)
-                if len(cone) > 1 or x in self.pos_triggers or x in self.neg_triggers:
-                    literals[x] = pair  # rule letters only: all of a larger cone's are
-            if pair[0] in facts:
-                pos.add(x)
-            elif pair[1] in facts:
-                neg.add(x)
-        return pos, neg
 
     def _reach(self, cone: frozenset[str], wpos: set[str], wneg: set[str], avoid: set[str]) -> set[str]:
         """Cone letters that can be made positive while every letter in
@@ -401,16 +381,17 @@ def _dual_entailer(defaults: Sequence) -> _NuEntailer:
 
 
 def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal], nu: bool) -> bool:
-    if not theory.consistent_facts():
+    index = theory.fact_index()
+    if index is None:
         return True  # inconsistent facts entail everything, on the cone or off it
-    # A DNU query is answered over the dual (NU) rules: swap the fact
-    # polarities and negate the goal instead of building the dual theory.
+    # A DNU query is answered over the dual (NU) rules: a fact is positive
+    # there iff its polarity equals ``nu``, and the goal is negated.
     ent = compiled(theory, _NuEntailer if nu else _dual_entailer)
     for q in goal:
         cone = influencing_letters(theory, (q.letter,))
-        pos, neg = ent.fact_letters(cone, theory.facts)
-        if not nu:
-            pos, neg = neg, pos
+        pos, neg = set(), set()
+        for x in index.keys() & cone:
+            (pos if index[x] == nu else neg).add(x)
         if not ent.skeptical(cone, pos, neg, q.letter, q.positive == nu):
             return False
     return True

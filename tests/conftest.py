@@ -4,7 +4,8 @@ The oracles here deliberately avoid the code paths they are used to check:
 outlier brute forcing iterates raw (L, S) candidate pairs against the
 exhaustive extension enumerator, with extension sets memoized per fact
 variant, and ``reiter_extensions`` pins that enumerator itself to Reiter's
-fixpoint definition without going through its search.
+fixpoint definition without going through its search.  ``nu_theories``
+draws structurally random NU/DNU theories for the fuzz tests.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from defoutlier import (
+    DefaultRule,
     DefaultTheory,
     Literal,
     extensions,
@@ -112,6 +115,26 @@ def brute_force_outliers(theory: DefaultTheory, k: int, strong: bool, h: int | N
             if oracle.is_witness(l, s, strong):
                 found.setdefault(l, []).append(s)
     return found
+
+
+@st.composite
+def nu_theories(draw):
+    """An NU or DNU theory over letters a-h and a variant of it with up to two
+    facts withdrawn.  Rules are unary and normal, some with no prerequisite,
+    and may form cycles; facts may sit on letters no rule mentions (u, v)."""
+    positive = draw(st.booleans())  # the prerequisite polarity: NU or DNU
+    letters = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
+    letter = st.sampled_from(letters)
+    conclusion = st.builds(Literal, letter, st.booleans())
+    rules = []
+    for p, c in draw(st.lists(st.tuples(st.none() | letter, conclusion), max_size=10)):
+        pre = frozenset() if p is None else frozenset({Literal(p, positive)})
+        rules.append(DefaultRule(pre, frozenset({c}), frozenset({c})))
+    fact_letters = draw(st.lists(st.sampled_from(letters + ["u", "v"]), max_size=5, unique=True))
+    facts = [Literal(x, draw(st.booleans())) for x in fact_letters]
+    theory = DefaultTheory(rules, facts)
+    withdrawn = draw(st.lists(st.sampled_from(facts), max_size=2)) if facts else []
+    return theory, theory.remove_facts(withdrawn)
 
 
 def reiter_extensions(theory: DefaultTheory) -> set[frozenset[Literal]]:

@@ -40,6 +40,13 @@ def test_extensions(capsys, credit_file):
     assert out == "{CreditNumber, MultipleIPs}\n"
 
 
+def test_extensions_takes_no_backend(capsys, credit_file):
+    # extensions always runs the exhaustive search, so it offers no --backend.
+    code, out, err = run(capsys, "extensions", "--backend", "fast", credit_file)
+    assert (code, out) == (2, "")
+    assert "--backend" in err
+
+
 def test_entails_exit_codes(capsys, tmp_path):
     p = tmp_path / "t.dth"
     p.write_text("fact a. default a : b / b.")

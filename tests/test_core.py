@@ -315,7 +315,7 @@ def test_rule_base_takes_no_part_in_equality(cellphone):
 
 
 # ---------------------------------------------------------------------------
-# Consistency mark
+# Fact index
 # ---------------------------------------------------------------------------
 
 
@@ -334,10 +334,56 @@ def test_remove_facts_keeps_a_known_consistent_mark(cellphone, monkeypatch):
 def test_with_facts_never_inherits_the_mark(cellphone):
     assert cellphone.consistent_facts()
     bad = cellphone.with_facts(cellphone.facts | lits("z", "-z"))
-    assert bad._consistent is None
+    assert bad._index is None
     assert not bad.consistent_facts()
     off_cone = bad.remove_facts(lits("CellUse"))
-    assert off_cone._consistent is None
+    assert off_cone._index is None
     assert not off_cone.consistent_facts()
     assert bad.remove_facts(lits("-z")).consistent_facts()
     assert bad == cellphone.with_facts(cellphone.facts | lits("-z", "z"))
+
+
+FACT_INDEX_RULES = [normal_rule("a", "b"), normal_rule("", "-c")]
+
+
+@pytest.mark.parametrize(
+    "facts,removed,index",
+    [
+        (("a", "-b", "c"), ("a", "c"), {"b": False}),  # present literals
+        (("a", "-b", "c"), ("d", "-e"), {"a": True, "b": False, "c": True}),  # absent ones
+        (("a", "-b", "c"), ("-a", "b"), {"a": True, "b": False, "c": True}),  # opposite polarity
+        (("a", "-b", "c"), ("a", "-a", "b", "z"), {"b": False, "c": True}),
+        ((), (), {}),  # empty facts: consistent, with an empty index
+        ((), ("a",), {}),
+        (("a", "-a", "b"), ("b",), None),  # inconsistent parent, inconsistent variant
+        (("a", "-a", "b"), ("-a",), {"a": True, "b": True}),  # its variants decide again
+    ],
+)
+def test_fact_index_of_a_variant_matches_a_fresh_theory(facts, removed, index):
+    parent = DefaultTheory(FACT_INDEX_RULES, lits(*facts))
+    before = parent.fact_index()  # built, or None for inconsistent facts
+    variant = parent.remove_facts(lits(*removed))
+    rebuilt = parent.with_facts(variant.facts)
+    if before is not None:  # remove_facts hands on a copy of a built index
+        assert variant._index is not None and variant._index is not before
+    assert parent.fact_index() == before
+    assert rebuilt._index is None  # with_facts never inherits an index
+    fresh = DefaultTheory(FACT_INDEX_RULES, variant.facts)
+    for t in (variant, rebuilt):
+        assert t.fact_index() == fresh.fact_index() == index
+        assert t.consistent_facts() == fresh.consistent_facts() == (index is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.builds(Literal, st.sampled_from("abcde"), st.booleans()), max_size=6),
+    st.lists(st.builds(Literal, st.sampled_from("abcdef"), st.booleans()), max_size=4),
+    st.lists(st.builds(Literal, st.sampled_from("abcdef"), st.booleans()), max_size=4),
+)
+def test_fact_index_survives_chains_of_removals(facts, first, second):
+    t = DefaultTheory(FACT_INDEX_RULES, facts)
+    t.consistent_facts()
+    for variant in (t.remove_facts(first), t.remove_facts(first).remove_facts(second)):
+        fresh = DefaultTheory(FACT_INDEX_RULES, variant.facts)
+        assert variant.fact_index() == fresh.fact_index()
+        assert variant.consistent_facts() == fresh.consistent_facts() == (not is_inconsistent(variant.facts))

@@ -35,7 +35,7 @@ from defoutlier import (
     theory_to_text,
     tightness,
 )
-from conftest import ExhaustiveOracle, brute_force_outliers, nonempty_subsets
+from conftest import ExhaustiveOracle, brute_force_outliers, nonempty_subsets, nu_theories
 
 S4 = lits("-MfC", "NewLocation", "QuietTime", "MultipleIPs")
 
@@ -256,6 +256,41 @@ def test_enumerate_matches_brute_force_small():
         assert got == want
 
 
+@st.composite
+def observed_nu_theories(draw):
+    """A ``nu_theories`` theory that also observes, for up to three rules whose
+    prerequisite is on another letter, that prerequisite and the negated
+    conclusion on letters with no fact yet, so that defaults are contradicted
+    and outliers occur; and a variant with up to two facts withdrawn."""
+    theory, _ = draw(nu_theories())
+    triggered = [d for d in theory.defaults if lett(d.prerequisite) - lett(d.consequent)]
+    facts = {l.letter: l for l in theory.facts}
+    for d in draw(st.lists(st.sampled_from(triggered), min_size=1, max_size=3)) if triggered else []:
+        for l in d.prerequisite | negate_all(d.consequent):
+            facts.setdefault(l.letter, l)
+    t = theory.with_facts(facts.values())
+    withdrawn = draw(st.lists(st.sampled_from(sorted(t.facts)), max_size=2)) if t.facts else []
+    return t, t.remove_facts(withdrawn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(observed_nu_theories())
+def test_enumerate_matches_brute_force_on_structured_theories(theories):
+    # The theory and its fact-withdrawn variant: cycles, facts on letters no
+    # rule mentions and contradicted defaults included.
+    for t in theories:
+        components = decompose(t).components
+        brute = brute_force_outliers(t, 2, strong=True)
+        for k in (1, 2):
+            got = {r.outlier: set(r.witnesses) for r in enumerate_strong(t, k)}
+            want = {
+                l: {s for s in ws if any(lett(s) <= c for c in components)}
+                for l, ws in brute.items()
+                if len(l) <= k
+            }
+            assert got == want, k
+
+
 def test_enumerate_general_matches_brute_force_small():
     for seed in range(8):
         t = random_theory("NU", 5, 7, 2, seed=seed)
@@ -266,15 +301,16 @@ def test_enumerate_general_matches_brute_force_small():
 
 def test_enumerate_padding_invariance(cellphone):
     # Facts on letters no rule mentions lie outside every witness's influence
-    # cone: each adds one failing cond1 (its own singleton SCC) and no core,
-    # and pads every outlier without changing its witnesses.
+    # cone: each adds one witness candidate (its own singleton SCC) whose cone
+    # holds no other fact, so no entailment and no core, and pads every
+    # outlier without changing its witnesses.
     k, m = 2, 30
     isolated = lits(*(f"iso{i}" for i in range(m)))
     padded = cellphone.with_facts(cellphone.facts | isolated)
     base = enumerate_strong(cellphone, k)
     got = enumerate_strong(padded, k)
     base_stats, got_stats = base[0].search_stats, got[0].search_stats
-    assert got_stats.entailment_calls == base_stats.entailment_calls + m
+    assert got_stats.entailment_calls == base_stats.entailment_calls
     assert got_stats.candidates_examined <= base_stats.candidates_examined + m
     pads = [frozenset(p) for j in range(k) for p in itertools.combinations(isolated, j)]
     want = {r.outlier | p: r.witnesses for r in base for p in pads if len(r.outlier | p) <= k}
@@ -462,6 +498,7 @@ def test_concurrent_queries_match_sequential():
     finally:
         sys.setswitchinterval(interval)
     assert results == sequential + sequential[::-1]
+    assert [t._index for t in theories] == [t.fact_index() for t in compiled_alone]
     cones = [_cones(t) for t in theories]
     assert cones == [_cones(t) for t in compiled_alone]
     assert all(cones)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from defoutlier import (
 )
 from defoutlier import semantics
 from defoutlier.core import normal_rule
-from conftest import reiter_extensions
+from conftest import nu_theories, reiter_extensions
 
 TWO_EXT = "fact a. default a : -y / -y. default : y / y."
 
@@ -332,26 +333,6 @@ def test_fast_equals_exhaustive(seed, fragment):
             assert entails(t, [q], FAST) == want
 
 
-@st.composite
-def nu_theories(draw):
-    """An NU or DNU theory over letters a-h and a variant of it with up to two
-    facts withdrawn.  Rules are unary and normal, some with no prerequisite,
-    and may form cycles; facts may sit on letters no rule mentions (u, v)."""
-    positive = draw(st.booleans())  # the prerequisite polarity: NU or DNU
-    letters = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
-    letter = st.sampled_from(letters)
-    conclusion = st.builds(Literal, letter, st.booleans())
-    rules = []
-    for p, c in draw(st.lists(st.tuples(st.none() | letter, conclusion), max_size=10)):
-        pre = frozenset() if p is None else frozenset({Literal(p, positive)})
-        rules.append(DefaultRule(pre, frozenset({c}), frozenset({c})))
-    fact_letters = draw(st.lists(st.sampled_from(letters + ["u", "v"]), max_size=5, unique=True))
-    facts = [Literal(x, draw(st.booleans())) for x in fact_letters]
-    theory = DefaultTheory(rules, facts)
-    withdrawn = draw(st.lists(st.sampled_from(facts), max_size=2)) if facts else []
-    return theory, theory.remove_facts(withdrawn)
-
-
 @settings(max_examples=200, deadline=None)
 @given(nu_theories())
 def test_fast_equals_exhaustive_on_structured_theories(theories):
@@ -482,11 +463,14 @@ def test_inconsistent_facts_off_every_cone_entail_everything():
     assert not entails(t.remove_facts(lits("z")), lits("-b"), FAST)
 
 
-def test_entailer_keeps_literals_of_rule_letters_only():
-    t = random_theory("NU", 60, 80, 1, 808)
-    letters = sorted(t.letters())
-    for x in letters + [f"absent{i}" for i in range(20)]:
-        entails(t, [Literal(x)])
-    table = t._rules[semantics._NuEntailer]._literals
-    rule_letters = {l.letter for d in t.defaults for l in d.prerequisite | d.consequent}
-    assert table and set(table) <= rule_letters
+def test_entailers_hold_no_per_query_state():
+    nu = random_theory("NU", 60, 80, 1, 808)
+    for t, build in ((nu, semantics._NuEntailer), (dualize(nu), semantics._dual_entailer)):
+        letters = sorted(t.letters()) + [f"absent{i}" for i in range(20)]
+        entails(t, [Literal(letters[0])], FAST)
+        ent = t._rules[build]
+        before = copy.deepcopy(vars(ent))
+        for x in letters:
+            for q in (Literal(x, True), Literal(x, False)):
+                entails(t, [q], FAST)
+        assert vars(ent) == before
