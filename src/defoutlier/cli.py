@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--strong", action="store_true", default=True)
     group.add_argument("--general", dest="strong", action="store_false")
     p.add_argument("-k", type=int, default=1, help="outlier size bound")
-    p.add_argument("--h", type=int, default=1, help="witness size bound (general mode)")
+    p.add_argument("--h", type=int, help="witness size bound, with --general only (default 1)")
     p.add_argument("--all-witnesses", action="store_true")
     p.add_argument("--format", choices=["text", "records"], default="text")
     add_common(p)
@@ -170,11 +170,14 @@ def _run(args) -> int:
         return 0 if report.found else 1
 
     if args.verb == "enumerate":
+        if args.strong and args.h is not None:
+            raise InvalidQueryError("--h bounds general witnesses and needs --general")
         theory = _read_theory(args.theory)
         if args.strong:
             reports = outliers.enumerate_strong(theory, args.k, args.backend, args.budget)
         else:
-            reports = outliers.enumerate_general(theory, args.k, args.h, args.backend, args.budget)
+            h = 1 if args.h is None else args.h
+            reports = outliers.enumerate_general(theory, args.k, h, args.backend, args.budget)
         if args.format == "records":
             for r in reports:
                 print(outliers.format_report_record(r))

@@ -217,6 +217,11 @@ class DefaultTheory:
         """True iff no fact contradicts another."""
         return self.fact_index() is not None
 
+    def facts_on(self, letters: frozenset[str]) -> list[Literal]:
+        """The facts on ``letters`` in ``literal_order``; they must be consistent."""
+        index = self.fact_index()
+        return [Literal(x, index[x]) for x in sorted(letters) if x in index]
+
     def with_facts(self, facts: Iterable[Literal]) -> "DefaultTheory":
         return self._variant(frozenset(facts), None)
 

@@ -11,10 +11,11 @@ Strong-outlier search exploits two structural facts: every inclusion-
 minimal strong witness has all of its letters inside a single strongly
 connected component of the dependency graph, and removing fact literals
 whose letters cannot reach the witness letters never changes the checks.
-The first restricts witness candidates; the second confines recognition's
-candidates to the components downstream of L, and enumeration's outlier
-checks to "cores" on the witness's influence cone, padding each passing core
-with off-cone facts without another entailment.
+The first restricts witness candidates to the facts on one rule component;
+the second confines recognition's candidates to the components downstream
+of L, and enumeration's outlier checks to "cores" on the witness's influence
+cone, padding each passing core with off-cone facts without another
+entailment.  ``DefaultTheory.facts_on`` reads every pool and cone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .core import (
     literal_order,
     negate_all,
 )
-from .depgraph import decompose, downstream_components, influencing_letters
+from .depgraph import downstream_components, influencing_letters
 from .errors import InvalidQueryError, ScopeError
 from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
 
@@ -46,8 +47,9 @@ LiteralSet = frozenset[Literal]
 @dataclass
 class SearchStats:
     """Counters: candidates tried and entails() invocations made.  Enumeration
-    counts witness candidates (one with no other fact on its influence cone
-    makes no entailment) and influence-cone cores, not padded outliers."""
+    counts witness candidates (strong ones come from rule components only;
+    one with no other fact on its influence cone makes no entailment) and
+    influence-cone cores, not padded outliers."""
 
     candidates_examined: int = 0
     entailment_calls: int = 0
@@ -161,16 +163,6 @@ def is_strong_witness(
     return _check_witness(theory, outlier, witness, True, backend, budget)
 
 
-def _witness_pool(theory: DefaultTheory) -> list[list[Literal]]:
-    """Fact literals grouped by ordered SCC."""
-    components = decompose(theory).components
-    comp_of = {v: i for i, comp in enumerate(components) for v in comp}
-    pools: list[list[Literal]] = [[] for _ in components]
-    for l in sorted(theory.facts, key=literal_order):
-        pools[comp_of[l.letter]].append(l)
-    return pools
-
-
 def _subsets(pool: list[Literal], max_size: int | None = None) -> Iterable[tuple[Literal, ...]]:
     top = len(pool) if max_size is None else min(max_size, len(pool))
     for size in range(1, top + 1):
@@ -200,11 +192,8 @@ def recognize_strong(
     check = _Checker(theory, True, backend, budget, "recognize_strong")
     # Downstream of L lie only rule letters and L's own letters, and consistent
     # facts put no fact but L's on those: the rule components hold every pool.
-    index, own = theory.fact_index(), lett(outlier)
-    pools = (
-        [Literal(x, index[x]) for x in sorted(comp) if x in index and x not in own]
-        for comp in downstream_components(theory, own)
-    )
+    own = lett(outlier)
+    pools = (theory.facts_on(comp - own) for comp in downstream_components(theory, own))
     found: list[LiteralSet] = []
     for s in check.candidates(pools):
         if check.cond1(s) and check.cond2(outlier, s):
@@ -226,16 +215,18 @@ def _enumerate(
         raise InvalidQueryError("outlier size bound k must be >= 1")
     op = "enumerate_strong" if strong else "enumerate_general"
     check = _Checker(theory, strong, backend, budget, op)
-    index = theory.fact_index()  # the checker has rejected inconsistent facts
-    facts_sorted = sorted(theory.facts, key=literal_order)
-    pools = _witness_pool(theory) if strong else [facts_sorted]
+    # Strong pools: the facts on each rule component, in SCC order.  A fact on
+    # a letter no rule mentions has no other fact on its cone, so it is skipped.
+    letters = lett(theory.facts)
+    pools = map(theory.facts_on, downstream_components(theory, letters)) if strong else [theory.facts_on(letters)]
 
     hits: dict[LiteralSet, list[LiteralSet]] = {}
     for s_set in check.candidates(pools, h):
         # Incremental lemma: only facts on the influence cone of S matter, so
         # a candidate with no other fact there yields no outlier and skips cond1.
-        cone = influencing_letters(theory, lett(s_set))
-        near = sorted({Literal(x, index[x]) for x in index.keys() & cone} - s_set, key=literal_order)
+        s_letters = lett(s_set)
+        cone = influencing_letters(theory, s_letters)
+        near = theory.facts_on(cone - s_letters)
         if not near or not check.cond1(s_set):
             continue
         far = None
@@ -246,7 +237,7 @@ def _enumerate(
             hits.setdefault(core, []).append(s_set)
             if len(core) < k:  # room for a pad of off-cone facts
                 if far is None:
-                    far = [l for l in facts_sorted if l.letter not in cone]
+                    far = theory.facts_on(letters - cone)
                 for pad in _subsets(far, k - len(core)):
                     hits.setdefault(core | frozenset(pad), []).append(s_set)
 
@@ -266,9 +257,9 @@ def enumerate_strong(
 ) -> tuple[OutlierReport, ...]:
     """All nonempty strong outlier sets of size at most k, with witnesses.
 
-    Witness candidates range over single-SCC fact subsets in component
-    order; outlier cores over fact subsets of size up to k on each witness's
-    influence cone, and passing cores are padded with off-cone facts.
+    Witness candidates range over the fact subsets of each rule component in
+    SCC order; outlier cores over fact subsets of size up to k on each
+    witness's influence cone, and passing cores are padded with off-cone facts.
     """
     return _enumerate(theory, k, backend, budget, strong=True, h=None)
 

@@ -196,6 +196,17 @@ def test_usage_error_exit_2(capsys):
     assert main(["enumerate"]) == 2  # missing theory argument
 
 
+def test_enumerate_witness_bound_needs_general(capsys, cell_file):
+    # --h bounds general witnesses only; strong enumeration must not ignore it.
+    for argv in (["--h", "3"], ["--strong", "--h", "1"]):
+        code, out, err = run(capsys, "enumerate", *argv, cell_file)
+        assert (code, out) == (2, "") and "--general" in err
+    code, out, err = run(capsys, "enumerate", "--general", "--h", "0", cell_file)
+    assert (code, out) == (2, "") and "witness size bound" in err
+    code, out, _ = run(capsys, "enumerate", "--general", "--h", "4", "--format", "records", cell_file)
+    assert code == 0 and '"outlier": ["CellUse"]' in out
+
+
 def test_console_entry_point(credit_file):
     proc = subprocess.run(
         [sys.executable, "-m", "defoutlier", "classify", credit_file],

@@ -387,3 +387,16 @@ def test_fact_index_survives_chains_of_removals(facts, first, second):
         fresh = DefaultTheory(FACT_INDEX_RULES, variant.facts)
         assert variant.fact_index() == fresh.fact_index()
         assert variant.consistent_facts() == fresh.consistent_facts() == (not is_inconsistent(variant.facts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from("abcde"), st.booleans()),
+    st.frozensets(st.sampled_from("abcdefg")),
+    st.lists(st.builds(Literal, st.sampled_from("abcde"), st.booleans()), max_size=3),
+)
+def test_facts_on_lists_the_facts_on_the_letters_in_literal_order(polarity, letters, removed):
+    t = DefaultTheory(FACT_INDEX_RULES, [Literal(x, p) for x, p in polarity.items()])
+    for variant in (t, t.remove_facts(removed)):
+        want = sorted((l for l in variant.facts if l.letter in letters), key=core.literal_order)
+        assert variant.facts_on(letters) == want

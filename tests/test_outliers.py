@@ -3,7 +3,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from defoutlier import (
@@ -289,11 +289,14 @@ def test_enumerate_matches_brute_force_on_structured_theories(theories):
                 if len(l) <= k
             }
             assert got == want, k
+        got = {r.outlier: set(r.witnesses) for r in enumerate_general(t, 1, 2)}
+        want = brute_force_outliers(t, 1, strong=False, h=2)
+        assert got == {l: set(ws) for l, ws in want.items()}
 
 
 def test_enumerate_general_matches_brute_force_small():
-    for seed in range(8):
-        t = random_theory("NU", 5, 7, 2, seed=seed)
+    for fragment, seed in itertools.product(("NU", "DNU", "NMU"), range(8)):
+        t = random_theory(fragment, 5, 7, 2, seed=seed)
         got = {r.outlier: set(r.witnesses) for r in enumerate_general(t, 2, 2)}
         want = brute_force_outliers(t, 2, strong=False, h=2)
         assert got == {l: set(ws) for l, ws in want.items()}
@@ -301,9 +304,9 @@ def test_enumerate_general_matches_brute_force_small():
 
 def test_enumerate_padding_invariance(cellphone):
     # Facts on letters no rule mentions lie outside every witness's influence
-    # cone: each adds one witness candidate (its own singleton SCC) whose cone
-    # holds no other fact, so no entailment and no core, and pads every
-    # outlier without changing its witnesses.
+    # cone and are never witnesses themselves: strong enumeration examines no
+    # candidate for them, and they pad every outlier without changing its
+    # witnesses.
     k, m = 2, 30
     isolated = lits(*(f"iso{i}" for i in range(m)))
     padded = cellphone.with_facts(cellphone.facts | isolated)
@@ -311,7 +314,7 @@ def test_enumerate_padding_invariance(cellphone):
     got = enumerate_strong(padded, k)
     base_stats, got_stats = base[0].search_stats, got[0].search_stats
     assert got_stats.entailment_calls == base_stats.entailment_calls
-    assert got_stats.candidates_examined <= base_stats.candidates_examined + m
+    assert got_stats.candidates_examined == base_stats.candidates_examined
     pads = [frozenset(p) for j in range(k) for p in itertools.combinations(isolated, j)]
     want = {r.outlier | p: r.witnesses for r in base for p in pads if len(r.outlier | p) <= k}
     assert {r.outlier: r.witnesses for r in got} == want
@@ -335,28 +338,38 @@ def test_enumerate_cost_bound(cellphone):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_strong_implies_general(seed):
-    t = random_theory("NU", 5, 7, 2, seed=seed)
+@st.composite
+def cone_pairs(draw, max_witness):
+    """An ``observed_nu_theories`` theory, a witness candidate S of at most
+    ``max_witness`` facts and an outlier candidate L of one or two other facts
+    on the influence cone of S, where L can break S's entailment."""
+    t = draw(st.sampled_from(draw(observed_nu_theories())))
+
+    def near(s):
+        return [x for x in t.facts_on(depgraph.influencing_letters(t, lett(s))) if x not in s]
+
     facts = sorted(t.facts, key=str)
-    if len(facts) < 2:
-        return
-    l, s = frozenset(facts[:1]), frozenset(facts[1:2])
+    first = [x for x in facts if near({x})]
+    assume(first)
+    extra = draw(st.lists(st.sampled_from(facts), max_size=max_witness - 1))
+    s = frozenset([draw(st.sampled_from(first)), *extra])
+    assume(near(s))
+    l = frozenset(draw(st.lists(st.sampled_from(near(s)), min_size=1, max_size=2, unique=True)))
+    return t, l, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone_pairs(max_witness=2))
+def test_strong_implies_general(pair):
+    t, l, s = pair
     if is_strong_witness(t, l, s):
         assert is_witness(t, l, s)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(0, 3), st.integers(0, 5))
-def test_singleton_witness_coincidence(seed, li, si):
-    t = random_theory("NU", 6, 8, 2, seed=seed)
-    facts = sorted(t.facts, key=str)
-    if len(facts) < 2:
-        return
-    l = frozenset({facts[li % len(facts)]})
-    rest = [x for x in facts if x not in l]
-    s = frozenset({rest[si % len(rest)]})
+@settings(max_examples=60, deadline=None)
+@given(cone_pairs(max_witness=1))
+def test_singleton_witness_coincidence(pair):
+    t, l, s = pair
     assert is_witness(t, l, s) == is_strong_witness(t, l, s)
 
 
