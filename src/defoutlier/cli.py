@@ -13,14 +13,7 @@ import argparse
 import sys
 
 from . import oracles, outliers
-from .core import (
-    LETTER,
-    Literal,
-    classify,
-    format_literals,
-    parse_theory,
-    theory_to_text,
-)
+from .core import Literal, classify, format_literals, lits, parse_theory, theory_to_text
 from .depgraph import build_graph, decompose, to_dot
 from .errors import BudgetExceededError, InvalidQueryError, ParseError, ScopeError
 from .semantics import DEFAULT_BUDGET, entails, extensions
@@ -42,16 +35,7 @@ def _read_cnf(path: str) -> oracles.Cnf3:
 
 
 def _literal_list(text: str) -> frozenset[Literal]:
-    out = set()
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise InvalidQueryError(f"empty literal in list {text!r}")
-        letter = piece.removeprefix("-")
-        if not LETTER.fullmatch(letter):
-            raise InvalidQueryError(f"bad literal {piece!r}")
-        out.add(Literal(letter, letter == piece))
-    return frozenset(out)
+    return lits(*text.split(","))
 
 
 def _budget(text: str) -> int:

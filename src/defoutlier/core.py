@@ -25,7 +25,7 @@ from .errors import ParseError, ReservedLetterError
 # Letter prefixes used for fresh letters in generated theories; rejected in
 # ordinary input so user letters can never collide with generated ones.
 RESERVED_PREFIXES = ("_y", "_c", "_l", "_f")
-# The letter syntax of the text format, shared with ``lit`` and the CLI.
+# The letter syntax of the text format, shared with ``lit`` and so with CLI literal lists.
 LETTER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 T = TypeVar("T")
@@ -60,7 +60,7 @@ def lit(text: str) -> Literal:
     text = text.strip()
     letter = text.removeprefix("-").strip()
     if not LETTER.fullmatch(letter):
-        raise ValueError(f"bad letter {letter!r} in literal {text!r}")
+        raise ValueError(f"bad literal {text!r}")
     return Literal(letter, letter == text)
 
 
@@ -185,16 +185,16 @@ class DefaultTheory:
     literal set.  Instances are immutable and safe to share.  Fact-set
     variants made by ``with_facts`` and ``remove_facts`` share one
     ``RuleBase``, which takes no part in equality, hashing or ``repr``.
-    Nor does the fact index, each fact letter's polarity: ``fact_index``
-    builds it on first need, only for consistent facts, and ``remove_facts``
-    hands a copy on without the removed facts, since a subset of consistent
-    facts is consistent.
+    Nor does the fact index, each fact letter mapped to its fact:
+    ``fact_index`` builds it on first need, only for consistent facts, and
+    ``remove_facts`` hands a copy on without the removed facts, since a
+    subset of consistent facts is consistent.
     """
 
     defaults: tuple[DefaultRule, ...]
     facts: frozenset[Literal]
     _rules: RuleBase = field(init=False, compare=False, repr=False)
-    _index: dict[str, bool] | None = field(init=False, compare=False, repr=False)
+    _index: dict[str, Literal] | None = field(init=False, compare=False, repr=False)
 
     def __init__(self, defaults: Iterable[DefaultRule], facts: Iterable[Literal]):
         deduplicated = tuple(dict.fromkeys(defaults))
@@ -206,11 +206,11 @@ class DefaultTheory:
     def letters(self) -> frozenset[str]:
         return compiled(self, _rule_letters) | lett(self.facts)
 
-    def fact_index(self) -> dict[str, bool] | None:
-        """Each fact letter mapped to its polarity, or None when the facts
-        are inconsistent (decided again on every call); do not mutate."""
+    def fact_index(self) -> dict[str, Literal] | None:
+        """Each fact letter mapped to its fact, or None when the facts are
+        inconsistent (decided again on every call); do not mutate."""
         if self._index is None and not is_inconsistent(self.facts):
-            object.__setattr__(self, "_index", {l.letter: l.positive for l in self.facts})
+            object.__setattr__(self, "_index", {l.letter: l for l in self.facts})
         return self._index
 
     def consistent_facts(self) -> bool:
@@ -218,9 +218,9 @@ class DefaultTheory:
         return self.fact_index() is not None
 
     def facts_on(self, letters: frozenset[str]) -> list[Literal]:
-        """The facts on ``letters`` in ``literal_order``; they must be consistent."""
+        """The theory's own facts on ``letters`` in ``literal_order``; they must be consistent."""
         index = self.fact_index()
-        return [Literal(x, index[x]) for x in sorted(letters) if x in index]
+        return [index[x] for x in sorted(letters) if x in index]
 
     def with_facts(self, facts: Iterable[Literal]) -> "DefaultTheory":
         return self._variant(frozenset(facts), None)
@@ -231,11 +231,11 @@ class DefaultTheory:
         if index is not None:
             index = dict(index)
             for l in removed:
-                if index.get(l.letter) == l.positive:  # removing -a leaves a fact a
+                if index.get(l.letter) == l:  # removing -a leaves a fact a
                     del index[l.letter]
         return self._variant(self.facts - removed, index)
 
-    def _variant(self, facts: frozenset[Literal], index: dict[str, bool] | None) -> "DefaultTheory":
+    def _variant(self, facts: frozenset[Literal], index: dict[str, Literal] | None) -> "DefaultTheory":
         variant = object.__new__(DefaultTheory)
         object.__setattr__(variant, "defaults", self.defaults)
         object.__setattr__(variant, "facts", facts)

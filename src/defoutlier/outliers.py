@@ -47,9 +47,9 @@ LiteralSet = frozenset[Literal]
 @dataclass
 class SearchStats:
     """Counters: candidates tried and entails() invocations made.  Enumeration
-    counts witness candidates (strong ones come from rule components only;
-    one with no other fact on its influence cone makes no entailment) and
-    influence-cone cores, not padded outliers."""
+    counts witness candidates (facts on rule letters only; one with no other
+    fact on its influence cone makes no entailment) and influence-cone cores,
+    not padded outliers."""
 
     candidates_examined: int = 0
     entailment_calls: int = 0
@@ -215,10 +215,13 @@ def _enumerate(
         raise InvalidQueryError("outlier size bound k must be >= 1")
     op = "enumerate_strong" if strong else "enumerate_general"
     check = _Checker(theory, strong, backend, budget, op)
-    # Strong pools: the facts on each rule component, in SCC order.  A fact on
-    # a letter no rule mentions has no other fact on its cone, so it is skipped.
+    # Pools hold the facts on rule letters only: per rule component in SCC
+    # order (strong), or all together (general).  A fact on a letter no rule
+    # mentions has no other fact on its cone, and once it is withdrawn no
+    # extension holds its negation, so no witness holds it.
     letters = lett(theory.facts)
-    pools = map(theory.facts_on, downstream_components(theory, letters)) if strong else [theory.facts_on(letters)]
+    comps = downstream_components(theory, letters)
+    pools = map(theory.facts_on, comps) if strong else [theory.facts_on(frozenset().union(*comps))]
 
     hits: dict[LiteralSet, list[LiteralSet]] = {}
     for s_set in check.candidates(pools, h):

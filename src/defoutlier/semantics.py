@@ -2,11 +2,12 @@
 
 Two entailment backends are provided.  The exhaustive backend enumerates
 every signature set by depth-first search over rule application sequences,
-branching on applying versus permanently blocking each applicable rule and
-validating candidates against the closure and justification-coherence
-conditions.  It prunes every branch where an applied rule is refuted or a
-blocked rule can no longer end satisfied or refuted, and it is total (up to
-a configurable node budget) on all DF theories.  The fast backend answers
+branching on applying versus permanently blocking each applicable rule.  It
+prunes every branch where an applied rule is refuted or a blocked rule can
+no longer end satisfied or refuted, and it is total (up to a configurable
+node budget) on all DF theories.  Its bitmasks over the rule letters are
+compiled once per rule base; a fact on a letter no rule mentions never meets
+a rule, so every extension carries it unchanged.  The fast backend answers
 skeptical literal queries on normal unary (NU) and dual normal unary (DNU)
 theories in polynomial time by searching for a countermodel extension: it
 grows the set of letters that must be kept non-positive, re-checking
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import DefaultTheory, Literal, classify, compiled, is_inconsistent, literal_order
+from .core import DefaultTheory, Literal, _rule_letters, classify, compiled, is_inconsistent, literal_order
 from .depgraph import influencing_letters, reach
 from .errors import BudgetExceededError, ScopeError
 
@@ -79,38 +80,30 @@ class Proof:
 
 
 class _MaskIndex:
-    """Bitmask encoding of a theory: literal i*2 is letter i, i*2+1 its negation."""
+    """Bitmask form of a rule base over its rule letters: literal 2*i is
+    letter i, 2*i+1 its negation, and bit ``absent`` no extension holds."""
 
-    def __init__(self, theory: DefaultTheory):
-        self.letters = sorted(theory.letters())
+    def __init__(self, defaults: Sequence):
         self.lit_id: dict[Literal, int] = {}
-        for i, x in enumerate(self.letters):
+        for i, x in enumerate(sorted(_rule_letters(defaults))):
             self.lit_id[Literal(x, True)] = 2 * i
             self.lit_id[Literal(x, False)] = 2 * i + 1
-
-        def mask(literals: Iterable[Literal]) -> int:
-            m = 0
-            for l in literals:
-                m |= 1 << self.lit_id[l]
-            return m
-
-        self.w_mask = mask(theory.facts)
-        self.pre = [mask(d.prerequisite) for d in theory.defaults]
-        self.concl = [mask(d.consequent) for d in theory.defaults]
+        lit_id = self.lit_id
+        self.absent = len(lit_id)
+        self.pre = [sum(1 << lit_id[l] for l in d.prerequisite) for d in defaults]
+        self.concl = [sum(1 << lit_id[l] for l in d.consequent) for d in defaults]
         # Mask of the negations of the justification literals: a rule is
         # refuted by E exactly when this intersects E.
-        self.neg_just = [mask(l.negate() for l in d.justification) for d in theory.defaults]
+        self.neg_just = [sum(1 << (lit_id[l] ^ 1) for l in d.justification) for d in defaults]
         # Rules whose justification contradicts itself can never fire.
-        self.rules = [
-            i for i, d in enumerate(theory.defaults) if not is_inconsistent(d.justification)
-        ]
-        self.positive_bits = sum(1 << 2 * i for i in range(len(self.letters)))
+        self.rules = [i for i, d in enumerate(defaults) if not is_inconsistent(d.justification)]
+        self.positive_bits = sum(1 << bit for bit in range(0, self.absent, 2))
 
     def to_literals(self, m: int) -> frozenset[Literal]:
         return frozenset(l for l, bit in self.lit_id.items() if m >> bit & 1)
 
 
-def _iter_masks(idx: _MaskIndex, budget: int):
+def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int):
     """Yield each distinct signature set (as a bitmask) with one generating
     sequence, in depth-first apply-before-block order.
 
@@ -125,7 +118,7 @@ def _iter_masks(idx: _MaskIndex, budget: int):
     seen: set[int] = set()
     nodes = 0
     # Stack entries: (E, blocked-rules mask, applied indices, their neg_just union).
-    stack: list[tuple[int, int, tuple[int, ...], int]] = [(idx.w_mask, 0, (), 0)]
+    stack: list[tuple[int, int, tuple[int, ...], int]] = [(w_mask, 0, (), 0)]
     while stack:
         e, blocked, applied, refuters = stack.pop()
         nodes += 1
@@ -162,6 +155,18 @@ def _iter_masks(idx: _MaskIndex, budget: int):
             yield e, applied
 
 
+def _search(theory: DefaultTheory, goal: Iterable[Literal], budget: int):
+    """The rule base's masks, the goal's mask and the lazy search, for
+    consistent facts.  Facts off the rules never meet a rule, so the search
+    leaves them out; a goal literal that is a fact is in every extension and
+    needs no bit, and one neither a fact nor on a rule letter gets ``absent``."""
+    idx = compiled(theory, _MaskIndex)
+    lit_id = idx.lit_id
+    w_mask = sum(1 << lit_id[l] for l in theory.facts & lit_id.keys())
+    need = sum({1 << lit_id.get(l, idx.absent) for l in goal if l not in theory.facts})
+    return idx, need, _iter_masks(idx, w_mask, budget)
+
+
 def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[SignatureSet, ...]:
     """All distinct signature sets of a DF theory, deterministically ordered.
 
@@ -170,8 +175,8 @@ def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[Sig
     """
     if not theory.consistent_facts():
         return (SignatureSet(theory.facts, ()),)
-    idx = _MaskIndex(theory)
-    sigs = [SignatureSet(idx.to_literals(m), gen) for m, gen in _iter_masks(idx, budget)]
+    idx, _, masks = _search(theory, (), budget)
+    sigs = [SignatureSet(theory.facts | idx.to_literals(m), gen) for m, gen in masks]
     sigs.sort(key=lambda s: sorted(map(literal_order, s.literals)))
     return tuple(sigs)
 
@@ -180,11 +185,8 @@ def brave_member(theory: DefaultTheory, literal: Literal, budget: int = DEFAULT_
     """True iff some extension contains the literal (false when incoherent)."""
     if not theory.consistent_facts():
         return True
-    idx = _MaskIndex(theory)
-    bit = idx.lit_id.get(literal)
-    if bit is None:
-        return False
-    return any(e >> bit & 1 for e, _ in _iter_masks(idx, budget))
+    idx, need, masks = _search(theory, (literal,), budget)
+    return not need >> idx.absent and any(e & need == need for e, _ in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,7 @@ def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal], nu: bool) -> b
         cone = influencing_letters(theory, (q.letter,))
         pos, neg = set(), set()
         for x in index.keys() & cone:
-            (pos if index[x] == nu else neg).add(x)
+            (pos if index[x].positive == nu else neg).add(x)
         if not ent.skeptical(cone, pos, neg, q.letter, q.positive == nu):
             return False
     return True
@@ -420,7 +422,5 @@ def entails(
         raise ValueError(f"unknown backend {backend!r}")
     if not theory.consistent_facts():
         return True
-    idx = _MaskIndex(theory)
-    # A literal absent from the theory gets a bit that no extension holds.
-    need = sum({1 << idx.lit_id.get(l, 2 * len(idx.letters)) for l in goal})
-    return all(e & need == need for e, _ in _iter_masks(idx, budget))
+    _, need, masks = _search(theory, goal, budget)
+    return all(e & need == need for e, _ in masks)

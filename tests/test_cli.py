@@ -72,6 +72,9 @@ def test_malformed_literal_lists_exit_2(capsys, credit_file):
     # Reserved prefixes stay allowed, as in CLI theory input.
     code, out, _ = run(capsys, "entails", "--goal", "CreditNumber,-_l0", credit_file)
     assert (code, out) == (1, "not entailed\n")
+    # Blanks may follow the minus sign, as in the text format: "- b" is -b.
+    code, out, _ = run(capsys, "entails", "--goal", " - MultipleIPs ", credit_file)
+    assert (code, out) == (1, "not entailed\n")
 
 
 def test_witness_golden(capsys, credit_file):

@@ -349,14 +349,14 @@ FACT_INDEX_RULES = [normal_rule("a", "b"), normal_rule("", "-c")]
 @pytest.mark.parametrize(
     "facts,removed,index",
     [
-        (("a", "-b", "c"), ("a", "c"), {"b": False}),  # present literals
-        (("a", "-b", "c"), ("d", "-e"), {"a": True, "b": False, "c": True}),  # absent ones
-        (("a", "-b", "c"), ("-a", "b"), {"a": True, "b": False, "c": True}),  # opposite polarity
-        (("a", "-b", "c"), ("a", "-a", "b", "z"), {"b": False, "c": True}),
+        (("a", "-b", "c"), ("a", "c"), {"b": lit("-b")}),  # present literals
+        (("a", "-b", "c"), ("d", "-e"), {"a": lit("a"), "b": lit("-b"), "c": lit("c")}),  # absent ones
+        (("a", "-b", "c"), ("-a", "b"), {"a": lit("a"), "b": lit("-b"), "c": lit("c")}),  # opposite polarity
+        (("a", "-b", "c"), ("a", "-a", "b", "z"), {"b": lit("-b"), "c": lit("c")}),
         ((), (), {}),  # empty facts: consistent, with an empty index
         ((), ("a",), {}),
         (("a", "-a", "b"), ("b",), None),  # inconsistent parent, inconsistent variant
-        (("a", "-a", "b"), ("-a",), {"a": True, "b": True}),  # its variants decide again
+        (("a", "-a", "b"), ("-a",), {"a": lit("a"), "b": lit("b")}),  # its variants decide again
     ],
 )
 def test_fact_index_of_a_variant_matches_a_fresh_theory(facts, removed, index):
@@ -400,3 +400,12 @@ def test_facts_on_lists_the_facts_on_the_letters_in_literal_order(polarity, lett
     for variant in (t, t.remove_facts(removed)):
         want = sorted((l for l in variant.facts if l.letter in letters), key=core.literal_order)
         assert variant.facts_on(letters) == want
+
+
+def test_facts_on_returns_the_theorys_own_facts():
+    facts = lits("a", "-b", "z")
+    t = DefaultTheory(FACT_INDEX_RULES, facts)
+    for variant in (t, t.remove_facts(lits("a")), t.remove_facts(lits("-a")).remove_facts(lits("z"))):
+        got = variant.facts_on(frozenset("abz"))
+        assert got == sorted(variant.facts, key=core.literal_order)
+        assert all(any(x is f for f in facts) for x in got)

@@ -320,6 +320,24 @@ def test_enumerate_padding_invariance(cellphone):
     assert {r.outlier: r.witnesses for r in got} == want
 
 
+def test_enumerate_general_padding_invariance(cellphone):
+    # As for strong enumeration: facts on letters no rule mentions are never
+    # general witnesses (with one withdrawn, no extension holds its negation),
+    # so general enumeration draws no candidate from them, and they pad every
+    # outlier without changing its witnesses.
+    k, h, m = 2, 2, 30
+    isolated = lits(*(f"iso{i}" for i in range(m)))
+    padded = cellphone.with_facts(cellphone.facts | isolated)
+    base = enumerate_general(cellphone, k, h)
+    got = enumerate_general(padded, k, h)
+    base_stats, got_stats = base[0].search_stats, got[0].search_stats
+    assert got_stats.entailment_calls == base_stats.entailment_calls
+    assert got_stats.candidates_examined == base_stats.candidates_examined
+    pads = [frozenset(p) for j in range(k) for p in itertools.combinations(isolated, j)]
+    want = {r.outlier | p: r.witnesses for r in base for p in pads if len(r.outlier | p) <= k}
+    assert {r.outlier: r.witnesses for r in got} == want
+
+
 def test_enumerate_cost_bound(cellphone):
     k = 2
     reports = enumerate_strong(cellphone, k)

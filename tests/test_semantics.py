@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -157,6 +158,65 @@ def test_exhaustive_backend_matches_reiter_on_non_normal_rules():
         ]
         t = DefaultTheory(rules, part(letters, 0, 2))
         assert ext_sets(t) == reiter_extensions(t), theory_to_text(t)
+
+
+# Facts off the rules and on them, consistent and not, with and without rules.
+OFF_RULE_THEORIES = [
+    TWO_EXT + " fact p & -n.",  # facts on letters no rule mentions, both polarities
+    TWO_EXT + " fact p & -p.",  # an inconsistent pair on such a letter
+    TWO_EXT + " fact y & -y & p.",  # an inconsistent pair on a rule letter
+    "fact a & -y. default a : y / y. default : -q / -q.",  # facts the rules contradict
+    "fact p & -n.",  # no rules
+    "",  # no rules and no facts
+    "fact p. default : b / -b.",  # incoherent, with a fact off the rules
+]
+
+
+@pytest.mark.parametrize("text", OFF_RULE_THEORIES)
+def test_exhaustive_queries_match_reiter_with_facts_off_the_rules(text):
+    t = parse_theory(text)
+    want = reiter_extensions(t)
+    assert ext_sets(t) == want
+    everything = is_inconsistent(t.facts)
+    queries = [Literal(x, p) for x in sorted(t.letters()) + ["absent"] for p in (True, False)]
+    for q in queries:
+        assert brave_member(t, q) == (everything or any(q in e for e in want)), q
+    for size in (1, 2):
+        for goal in map(frozenset, itertools.combinations(queries, size)):
+            assert entails(t, goal, EXHAUSTIVE) == (everything or all(goal <= e for e in want)), goal
+
+
+def test_masks_are_built_once_per_rule_base(monkeypatch):
+    builds = []
+
+    class Counted(semantics._MaskIndex):
+        def __init__(self, defaults):
+            builds.append(defaults)
+            super().__init__(defaults)
+
+    monkeypatch.setattr(semantics, "_MaskIndex", Counted)
+    t = parse_theory(TWO_EXT + " fact p.")
+    without_p = t.remove_facts(lits("p"))
+    variants = [t, t.remove_facts(lits("a")), t.with_facts(lits("-y", "q"))]
+    for v in variants + [without_p, without_p.remove_facts(lits("a"))]:
+        extensions(v)
+        for q in lits("y", "-y", "p", "-p"):
+            assert brave_member(v, q) == any(q in e for e in reiter_extensions(v))
+        entails(v, lits("-y"), EXHAUSTIVE)
+    assert builds == [t.defaults]
+    extensions(parse_theory(TWO_EXT))  # a new theory has a new rule base
+    assert len(builds) == 2
+
+
+def test_brave_member_answers_a_literal_off_the_rules_without_a_search():
+    # f is a fact on a letter no rule mentions: no extension holds -f.  The
+    # budget admits only the search's first node.
+    t = parse_theory(TWO_EXT + " fact f.")
+    assert not brave_member(t, lit("-f"), budget=1)
+    assert not brave_member(t, lit("absent"), budget=1)
+    # Skeptical entailment of -f still needs to find an extension.
+    with pytest.raises(BudgetExceededError):
+        entails(t, lits("-f"), EXHAUSTIVE, budget=1)
 
 
 def test_inconsistent_candidate_is_no_extension():
