@@ -279,8 +279,10 @@ def find_proof(
 
 
 class _NuEntailer:
-    """Skeptical literal queries on an NU theory via countermodel search.
+    """Skeptical literal queries on an NU or DNU theory via countermodel search.
 
+    A DNU rule base (``nu`` False) is filed with its polarity swapped, so
+    "positive" below means "of polarity ``nu``"; no dual rule is built.
     An extension omitting a goal corresponds to a set of letters kept
     non-positive.  Each such letter must either admit a firable attacking
     rule (one concluding its negation, with a live trigger) or have all of
@@ -294,6 +296,7 @@ class _NuEntailer:
     """
 
     def __init__(self, defaults: Sequence):
+        self.nu = all(p.positive for d in defaults for p in d.prerequisite)
         self.pos_triggers: dict[str, list[str | None]] = {}
         self.neg_triggers: dict[str, list[str | None]] = {}
         self.pos_children: dict[str, list[str]] = {}
@@ -304,7 +307,7 @@ class _NuEntailer:
             if d.prerequisite:
                 (p,) = d.prerequisite
                 trig = p.letter
-            if c.positive:
+            if c.positive == self.nu:
                 self.pos_triggers.setdefault(c.letter, []).append(trig)
                 if trig is None:
                     self.top_pos.add(c.letter)
@@ -366,35 +369,24 @@ class _NuEntailer:
         if x in self._reach(cone, wpos, wneg, set()):
             return False
         # x can never be positive; its negation is everywhere unless every
-        # rule mentioning x can be starved, leaving x wholly undecided.
-        triggers: set[str] = set()
-        for t in self.neg_triggers.get(x, ()):
-            if t is None:
-                return True
-            triggers.add(t)
-        for t in self.pos_triggers.get(x, ()):
-            if t is not None:
-                triggers.add(t)
-        return not self._can_all_be_nonpositive(cone, wpos, wneg, triggers)
+        # rule concluding -x can be starved, leaving x undecided.
+        triggers = self.neg_triggers[x]
+        return None in triggers or not self._can_all_be_nonpositive(cone, wpos, wneg, triggers)
 
 
-def _dual_entailer(defaults: Sequence) -> _NuEntailer:
-    return _NuEntailer([d.dual() for d in defaults])
-
-
-def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal], nu: bool) -> bool:
+def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal]) -> bool:
     index = theory.fact_index()
     if index is None:
         return True  # inconsistent facts entail everything, on the cone or off it
-    # A DNU query is answered over the dual (NU) rules: a fact is positive
+    # A DNU rule base is filed with its polarity swapped: a fact is positive
     # there iff its polarity equals ``nu``, and the goal is negated.
-    ent = compiled(theory, _NuEntailer if nu else _dual_entailer)
+    ent = compiled(theory, _NuEntailer)
     for q in goal:
         cone = influencing_letters(theory, (q.letter,))
         pos, neg = set(), set()
         for x in index.keys() & cone:
-            (pos if index[x].positive == nu else neg).add(x)
-        if not ent.skeptical(cone, pos, neg, q.letter, q.positive == nu):
+            (pos if index[x].positive == ent.nu else neg).add(x)
+        if not ent.skeptical(cone, pos, neg, q.letter, q.positive == ent.nu):
             return False
     return True
 
@@ -415,7 +407,7 @@ def entails(
     if backend in (AUTO, FAST):
         frag = classify(theory)
         if frag.is_nu or frag.is_dnu:
-            return _fast_entails(theory, goal, frag.is_nu)
+            return _fast_entails(theory, goal)
         if backend == FAST:
             raise ScopeError("fast backend requires an NU or DNU theory")
     elif backend != EXHAUSTIVE:
@@ -423,4 +415,4 @@ def entails(
     if not theory.consistent_facts():
         return True
     _, need, masks = _search(theory, goal, budget)
-    return all(e & need == need for e, _ in masks)
+    return not need or all(e & need == need for e, _ in masks)

@@ -34,10 +34,13 @@ def test_classify(capsys, credit_file):
     assert code == 0 and out == "NU\n"
 
 
-def test_extensions(capsys, credit_file):
+def test_extensions(capsys, credit_file, tmp_path):
     code, out, _ = run(capsys, "extensions", credit_file)
     assert code == 0
     assert out == "{CreditNumber, MultipleIPs}\n"
+    p = tmp_path / "incoherent.dth"
+    p.write_text("default : a / -a.")
+    assert run(capsys, "extensions", str(p))[:2] == (0, "no extensions\n")
 
 
 def test_extensions_takes_no_backend(capsys, credit_file):
@@ -116,6 +119,12 @@ def test_enumerate_text_and_records(capsys, cell_file):
     assert all(r["strong"] for r in records)
 
 
+def test_enumerate_without_outliers(capsys, tmp_path):
+    p = tmp_path / "facts.dth"
+    p.write_text("fact a & -b.")
+    assert run(capsys, "enumerate", "--strong", "-k", "1", str(p))[:2] == (0, "no outliers\n")
+
+
 def test_graph_summary_and_dot(capsys, credit_file):
     code, out, _ = run(capsys, "graph", credit_file)
     assert code == 0
@@ -140,6 +149,9 @@ def test_budget_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "extensions", "--budget", "3", str(p))
     assert code == 3
     assert "budget" in err
+    # v2 is a fact, so every extension holds it and no search is needed.
+    code, out, _ = run(capsys, "entails", "--backend", "exhaustive", "--budget", "1", "--goal=v2", str(p))
+    assert (code, out) == (0, "entailed\n")
 
 
 def test_budget_below_one_exit_2(capsys, credit_file):

@@ -87,10 +87,15 @@ def test_dimacs_round_trip():
 
 
 def test_dimacs_errors():
-    with pytest.raises(ValueError):
-        parse_dimacs("1 2 3 0\n")  # missing header
-    with pytest.raises(ValueError):
-        parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")  # too wide
+    for text, match in (
+        ("1 2 3 0\n", "missing 'p cnf' header"),
+        ("p cnf 4 1\n1 2 3 4 0\n", "only 3CNF"),
+        ("p cnf 3\n", "bad DIMACS header"),
+        ("p dnf 3 1\n", "bad DIMACS header"),
+        ("p cnf 3 1\n0\n", "empty clause"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            parse_dimacs(text)
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,8 @@ def test_report_serialization(cellphone):
     rep = recognize_strong(cellphone, lits("CreditNumber"))
     lines = format_report_lines(rep)
     assert lines == ["outlier {CreditNumber} witness {MultipleIPs} strong=true"]
+    not_found = recognize_strong(parse_theory("fact a."), lits("a"))
+    assert format_report_lines(not_found) == ["outlier {a} witness none strong=true"]
     record = format_report_record(rep)
     assert record == (
         '{"outlier": ["CreditNumber"], "witnesses": [["MultipleIPs"]], "strong": true}'
@@ -650,6 +652,8 @@ def test_unknown_backend_is_rejected_without_entailment():
         recognize_strong(parse_theory("fact a. default a : b / b."), lits("a"), "bogus")
     with pytest.raises(ValueError, match="unknown backend"):
         enumerate_strong(parse_theory(""), 1, "bogus")
+    with pytest.raises(ValueError, match="unknown backend"):
+        entails(parse_theory("fact a."), lits("a"), "bogus")
 
 
 def test_checker_rejects_inconsistent_facts_off_every_cone():

@@ -219,6 +219,18 @@ def test_brave_member_answers_a_literal_off_the_rules_without_a_search():
         entails(t, lits("-f"), EXHAUSTIVE, budget=1)
 
 
+def test_exhaustive_entails_answers_a_goal_made_only_of_facts_without_a_search():
+    # Every extension holds the facts; the budget admits only the first node.
+    t = random_theory("NU", 8, 12, 2, seed=3)
+    assert lits("-v7", "v2") <= t.facts
+    for budget in (1, 3):
+        assert entails(t, lits("-v7"), EXHAUSTIVE, budget=budget)
+    assert entails(t, [], EXHAUSTIVE, budget=1)
+    assert entails(t, lits("-v7", "v2"), EXHAUSTIVE, budget=1)
+    with pytest.raises(BudgetExceededError):
+        entails(t, lits("-v7", "v1"), EXHAUSTIVE, budget=1)
+
+
 def test_inconsistent_candidate_is_no_extension():
     # Applying both rules gives {a, b, -b}, whose deductive closure refutes
     # the justification a; with consistent facts no extension is inconsistent.
@@ -249,6 +261,12 @@ def test_is_extension_credit_card_variants(credit_card):
     reduced = credit_card.with_facts(lits("CreditNumber"))
     assert is_extension(reduced, lits("CreditNumber", "-MultipleIPs"))
     assert not is_extension(reduced, lits("CreditNumber"))
+    assert not is_extension(reduced, lits("-MultipleIPs"))  # misses the fact
+
+
+def test_is_extension_requires_consistent_facts():
+    with pytest.raises(ScopeError, match="consistent facts"):
+        is_extension(parse_theory("fact a & -a. default a : b / b."), lits("a", "-a", "b"))
 
 
 def test_is_extension_rejects_inconsistent_candidate():
@@ -525,12 +543,47 @@ def test_inconsistent_facts_off_every_cone_entail_everything():
 
 def test_entailers_hold_no_per_query_state():
     nu = random_theory("NU", 60, 80, 1, 808)
-    for t, build in ((nu, semantics._NuEntailer), (dualize(nu), semantics._dual_entailer)):
+    for t in (nu, dualize(nu)):
         letters = sorted(t.letters()) + [f"absent{i}" for i in range(20)]
         entails(t, [Literal(letters[0])], FAST)
-        ent = t._rules[build]
+        ent = t._rules[semantics._NuEntailer]
         before = copy.deepcopy(vars(ent))
         for x in letters:
             for q in (Literal(x, True), Literal(x, False)):
                 entails(t, [q], FAST)
         assert vars(ent) == before
+
+
+def test_negative_goal_starves_only_the_rules_concluding_its_negation(monkeypatch):
+    # x can never be positive here; -x fails only if the rules concluding -x
+    # can all be starved, so only their trigger t is kept non-positive.
+    # p, the trigger of the rule concluding x, can never be positive either.
+    calls = []
+    real = semantics._NuEntailer._can_all_be_nonpositive
+
+    def recording(self, cone, wpos, wneg, targets):
+        calls.append(set(targets))
+        return real(self, cone, wpos, wneg, targets)
+
+    monkeypatch.setattr(semantics._NuEntailer, "_can_all_be_nonpositive", recording)
+    base = "default t : -x / -x. default p : x / x."
+    for text, answer in (
+        (base, False),
+        (base + " fact t.", True),
+        (base + " default : -t / -t. default q : p / p.", False),
+    ):
+        t = parse_theory(text)
+        calls.clear()
+        assert entails(t, lits("-x"), FAST) == entails(t, lits("-x"), EXHAUSTIVE) == answer, text
+        assert calls == [{"t"}], text
+
+
+def test_dnu_rule_base_is_read_without_dual_rules(monkeypatch):
+    dual = dualize(random_theory("NU", 60, 80, 1, 808))
+    calls = []
+    real = DefaultRule.dual
+    monkeypatch.setattr(DefaultRule, "dual", lambda d: calls.append(d) or real(d))
+    for x in sorted(dual.letters()):
+        for q in (Literal(x, True), Literal(x, False)):
+            entails(dual, [q], FAST)
+    assert calls == []
