@@ -5,7 +5,11 @@ every signature set by depth-first search over rule application sequences,
 branching on applying versus permanently blocking each applicable rule.  It
 prunes every branch where an applied rule is refuted or a blocked rule can
 no longer end satisfied or refuted, and it is total (up to a configurable
-node budget) on all DF theories.  Its bitmasks over the rule letters are
+node budget) on all DF theories.  A rule satisfied or refuted at a node stays
+so below it, so each node hands its children only the rules still open.  A
+query drops every subtree whose leaves all answer it one way: ``entails``
+those whose E holds the goal, ``brave_member`` those whose E holds the
+literal's negation.  The search's bitmasks over the rule letters are
 compiled once per rule base; a fact on a letter no rule mentions never meets
 a rule, so every extension carries it unchanged.  The fast backend answers
 skeptical literal queries on normal unary (NU) and dual normal unary (DNU)
@@ -96,14 +100,14 @@ class _MaskIndex:
         # refuted by E exactly when this intersects E.
         self.neg_just = [sum(1 << (lit_id[l] ^ 1) for l in d.justification) for d in defaults]
         # Rules whose justification contradicts itself can never fire.
-        self.rules = [i for i, d in enumerate(defaults) if not is_inconsistent(d.justification)]
+        self.rules = tuple(i for i, d in enumerate(defaults) if not is_inconsistent(d.justification))
         self.positive_bits = sum(1 << bit for bit in range(0, self.absent, 2))
 
     def to_literals(self, m: int) -> frozenset[Literal]:
         return frozenset(l for l, bit in self.lit_id.items() if m >> bit & 1)
 
 
-def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int):
+def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int, skip: int):
     """Yield each distinct signature set (as a bitmask) with one generating
     sequence, in depth-first apply-before-block order.
 
@@ -111,27 +115,33 @@ def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int):
     refuted (E only grows; an inconsistent E refutes every rule), or a
     blocked rule is neither satisfied nor refuted by ``upper``, the closure
     of E under the rules neither blocked nor refuted, which contains every E
-    reachable below the node.
+    reachable below the node.  A node whose E holds all of a nonzero
+    ``skip`` is dropped too, since every leaf below it holds ``skip``: the
+    caller wants only the leaves that miss it.  A rule satisfied or refuted
+    by E stays so below, so each node scans only the rules still open at
+    its parent.
     """
-    pre, concl, neg_just = idx.pre, idx.concl, idx.neg_just
-    rules, positive = idx.rules, idx.positive_bits
+    pre, concl, neg_just, positive = idx.pre, idx.concl, idx.neg_just, idx.positive_bits
     seen: set[int] = set()
     nodes = 0
-    # Stack entries: (E, blocked-rules mask, applied indices, their neg_just union).
-    stack: list[tuple[int, int, tuple[int, ...], int]] = [(w_mask, 0, (), 0)]
+    # Stack entries: (E, blocked-rules mask, applied indices, their neg_just
+    # union, the rules open at the parent).
+    stack: list[tuple[int, int, tuple[int, ...], int, tuple[int, ...]]] = [(w_mask, 0, (), 0, idx.rules)]
     while stack:
-        e, blocked, applied, refuters = stack.pop()
+        e, blocked, applied, refuters, rules = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(budget)
-        if refuters & e or e >> 1 & e & positive:
+        if refuters & e or e >> 1 & e & positive or skip and e & skip == skip:
             continue
         act = None
+        open_: list[int] = []
         live: list[int] = []
         held: list[int] = []
         for i in rules:
             if concl[i] & ~e == 0 or neg_just[i] & e:
                 continue  # satisfied or refuted for good
+            open_.append(i)
             if blocked >> i & 1:
                 held.append(i)
                 continue
@@ -148,15 +158,16 @@ def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int):
         if any(concl[i] & ~upper and not neg_just[i] & upper for i in held):
             continue
         if act is not None:
-            stack.append((e, blocked | (1 << act), applied, refuters))
-            stack.append((e | concl[act], blocked, applied + (act,), refuters | neg_just[act]))
+            rules = tuple(open_)
+            stack.append((e, blocked | (1 << act), applied, refuters, rules))
+            stack.append((e | concl[act], blocked, applied + (act,), refuters | neg_just[act], rules))
         elif e not in seen:
             seen.add(e)
             yield e, applied
 
 
-def _search(theory: DefaultTheory, goal: Iterable[Literal], budget: int):
-    """The rule base's masks, the goal's mask and the lazy search, for
+def _search(theory: DefaultTheory, goal: Iterable[Literal]):
+    """The rule base's masks, the facts' mask and the goal's mask, for
     consistent facts.  Facts off the rules never meet a rule, so the search
     leaves them out; a goal literal that is a fact is in every extension and
     needs no bit, and one neither a fact nor on a rule letter gets ``absent``."""
@@ -164,7 +175,7 @@ def _search(theory: DefaultTheory, goal: Iterable[Literal], budget: int):
     lit_id = idx.lit_id
     w_mask = sum(1 << lit_id[l] for l in theory.facts & lit_id.keys())
     need = sum({1 << lit_id.get(l, idx.absent) for l in goal if l not in theory.facts})
-    return idx, need, _iter_masks(idx, w_mask, budget)
+    return idx, w_mask, need
 
 
 def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[SignatureSet, ...]:
@@ -175,7 +186,8 @@ def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[Sig
     """
     if not theory.consistent_facts():
         return (SignatureSet(theory.facts, ()),)
-    idx, _, masks = _search(theory, (), budget)
+    idx, w_mask, _ = _search(theory, ())
+    masks = _iter_masks(idx, w_mask, budget, 0)
     sigs = [SignatureSet(theory.facts | idx.to_literals(m), gen) for m, gen in masks]
     sigs.sort(key=lambda s: sorted(map(literal_order, s.literals)))
     return tuple(sigs)
@@ -185,8 +197,12 @@ def brave_member(theory: DefaultTheory, literal: Literal, budget: int = DEFAULT_
     """True iff some extension contains the literal (false when incoherent)."""
     if not theory.consistent_facts():
         return True
-    idx, need, masks = _search(theory, (literal,), budget)
-    return not need >> idx.absent and any(e & need == need for e, _ in masks)
+    idx, w_mask, need = _search(theory, (literal,))
+    if need >> idx.absent:
+        return False
+    # A consistent leaf holding the literal's negation misses the literal.
+    skip = need and 1 << ((need.bit_length() - 1) ^ 1)
+    return any(e & need == need for e, _ in _iter_masks(idx, w_mask, budget, skip))
 
 
 # ---------------------------------------------------------------------------
@@ -414,5 +430,6 @@ def entails(
         raise ValueError(f"unknown backend {backend!r}")
     if not theory.consistent_facts():
         return True
-    _, need, masks = _search(theory, goal, budget)
-    return not need or all(e & need == need for e, _ in masks)
+    idx, w_mask, need = _search(theory, goal)
+    # A subtree whose E holds the goal holds no counterexample.
+    return not need or all(e & need == need for e, _ in _iter_masks(idx, w_mask, budget, need))

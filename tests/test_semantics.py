@@ -88,10 +88,12 @@ def test_pruning_bounds_thm10_search():
     # (x1)(-x1)(x1|x2|x3)(-x2|x4|x5)(x3|-x4|-x5) is unsatisfiable, so every
     # extension holds the designated letter.  Without pruning the branches
     # where a blocked rule can end neither satisfied nor refuted, the search
-    # visits 201 365 nodes; with it, 17 477.
+    # visits 133 631 nodes; with it, 12 093.  Both counts skip the subtrees
+    # whose E already holds the goal, as no counterexample lies below them.
     phi = Cnf3(5, ((1, 1, 1), (-1, -1, -1), (1, 2, 3), (-2, 4, 5), (3, -4, -5)))
     gen = build_thm10(phi)
     assert entails(gen.theory, [gen.literal("l")], EXHAUSTIVE, budget=50_000)
+    assert entails(gen.theory, [gen.literal("l")], EXHAUSTIVE, budget=13_000)
 
 
 def test_signature_set_checks_consistency_once(monkeypatch):
@@ -157,7 +159,16 @@ def test_exhaustive_backend_matches_reiter_on_non_normal_rules():
             for _ in range(rng.randint(1, 7))
         ]
         t = DefaultTheory(rules, part(letters, 0, 2))
-        assert ext_sets(t) == reiter_extensions(t), theory_to_text(t)
+        text, want = theory_to_text(t), reiter_extensions(t)
+        assert ext_sets(t) == want, text
+        # Multi-literal consequents leave goals half held inside the search.
+        everything = is_inconsistent(t.facts)
+        queries = [Literal(x, p) for x in sorted(t.letters()) for p in (True, False)]
+        for q in queries:
+            assert brave_member(t, q) == (everything or any(q in e for e in want)), (text, q)
+        for size in (1, 2):
+            for goal in map(frozenset, itertools.combinations(queries, size)):
+                assert entails(t, goal, EXHAUSTIVE) == (everything or all(goal <= e for e in want)), (text, goal)
 
 
 # Facts off the rules and on them, consistent and not, with and without rules.
