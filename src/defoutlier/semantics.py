@@ -9,9 +9,14 @@ node budget) on all DF theories.  A rule satisfied or refuted at a node stays
 so below it, so each node hands its children only the rules still open.  A
 query drops every subtree whose leaves all answer it one way: ``entails``
 those whose E holds the goal, ``brave_member`` those whose E holds the
-literal's negation.  The search's bitmasks over the rule letters are
-compiled once per rule base; a fact on a letter no rule mentions never meets
-a rule, so every extension carries it unchanged.  The fast backend answers
+literal's negation.  Each node also bounds its leaves from below, in two
+ways.  It never blocks a rule that no leaf below can refute, since every
+such leaf is reached first through applying the rule.  And a query closes
+E under the open rules that no leaf below can refute; every leaf holds
+that closure, so a node whose closure answers the query is dropped as well.
+The search's bitmasks over the rule letters are compiled once per rule
+base; a fact on a letter no rule mentions never meets a rule, so every
+extension carries it unchanged.  The fast backend answers
 skeptical literal queries on normal unary (NU) and dual normal unary (DNU)
 theories in polynomial time by searching for a countermodel extension: it
 grows the set of letters that must be kept non-positive, re-checking
@@ -103,6 +108,17 @@ class _MaskIndex:
         self.rules = tuple(i for i, d in enumerate(defaults) if not is_inconsistent(d.justification))
         self.positive_bits = sum(1 << bit for bit in range(0, self.absent, 2))
 
+    def close(self, m: int, rules: Sequence[int]) -> int:
+        """The closure of the literal mask ``m`` under the given rules."""
+        pre, concl, grew = self.pre, self.concl, True
+        while grew:
+            grew = False
+            for i in rules:
+                if concl[i] & ~m and pre[i] & ~m == 0:
+                    m |= concl[i]
+                    grew = True
+        return m
+
     def to_literals(self, m: int) -> frozenset[Literal]:
         return frozenset(l for l, bit in self.lit_id.items() if m >> bit & 1)
 
@@ -120,6 +136,21 @@ def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int, skip: int):
     caller wants only the leaves that miss it.  A rule satisfied or refuted
     by E stays so below, so each node scans only the rules still open at
     its parent.
+
+    Each node is also bounded from below.  It pushes the block child of
+    ``act`` only when ``upper`` refutes ``act``: otherwise no leaf below the
+    block child refutes it, so at each such leaf ``act``, whose prerequisite
+    E holds, ends satisfied and is a generating rule.  The apply child
+    reaches the same leaf and is explored first, so the block child would
+    yield only sets already seen, and the same (E, applied) pairs come out
+    in the same order.  With a nonzero ``skip``, ``forced`` is the closure
+    of E under the live rules ``upper`` cannot refute.  Each of them ends
+    satisfied at every valid leaf below: its prerequisite is in the leaf by
+    induction, the leaf does not refute it, and a valid leaf leaves no
+    unrefuted rule whose prerequisite it holds unsatisfied, blocked or
+    not.  So every valid leaf holds ``forced``, and a node whose ``forced``
+    holds ``skip`` is dropped like one whose E does.  ``forced`` lies inside
+    ``upper``, so it is computed only when ``upper`` holds ``skip``.
     """
     pre, concl, neg_just, positive = idx.pre, idx.concl, idx.neg_just, idx.positive_bits
     seen: set[int] = set()
@@ -148,22 +179,23 @@ def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int, skip: int):
             if act is None and pre[i] & ~e == 0:
                 act = i
             live.append(i)
-        upper, grew = e, bool(held) and act is not None
-        while grew:
-            grew = False
-            for i in live:
-                if concl[i] & ~upper and pre[i] & ~upper == 0:
-                    upper |= concl[i]
-                    grew = True
+        if act is None:
+            # A leaf: upper is E, which leaves every held rule open.
+            if not held and e not in seen:
+                seen.add(e)
+                yield e, applied
+            continue
+        upper = idx.close(e, live)
         if any(concl[i] & ~upper and not neg_just[i] & upper for i in held):
             continue
-        if act is not None:
-            rules = tuple(open_)
+        if skip and skip & upper == skip:
+            forced = idx.close(e, [i for i in live if not neg_just[i] & upper])
+            if forced & skip == skip:
+                continue
+        rules = tuple(open_)
+        if neg_just[act] & upper:
             stack.append((e, blocked | (1 << act), applied, refuters, rules))
-            stack.append((e | concl[act], blocked, applied + (act,), refuters | neg_just[act], rules))
-        elif e not in seen:
-            seen.add(e)
-            yield e, applied
+        stack.append((e | concl[act], blocked, applied + (act,), refuters | neg_just[act], rules))
 
 
 def _search(theory: DefaultTheory, goal: Iterable[Literal]):

@@ -86,14 +86,38 @@ def test_budget_exceeded():
 
 def test_pruning_bounds_thm10_search():
     # (x1)(-x1)(x1|x2|x3)(-x2|x4|x5)(x3|-x4|-x5) is unsatisfiable, so every
-    # extension holds the designated letter.  Without pruning the branches
-    # where a blocked rule can end neither satisfied nor refuted, the search
-    # visits 133 631 nodes; with it, 12 093.  Both counts skip the subtrees
-    # whose E already holds the goal, as no counterexample lies below them.
+    # extension holds the designated letter.  Pruning the branches where a
+    # blocked rule can end neither satisfied nor refuted, and skipping the
+    # subtrees whose E already holds the goal, leaves 12 093 nodes (133 631
+    # without the first).  Bounding each node from below as well, the search
+    # never blocks a rule no leaf can refute and drops a node whose forced
+    # literals hold the goal: the root already forces it, so the query
+    # answers at budget 3, and ``extensions`` needs 5 338 nodes, not 17 477.
     phi = Cnf3(5, ((1, 1, 1), (-1, -1, -1), (1, 2, 3), (-2, 4, 5), (3, -4, -5)))
     gen = build_thm10(phi)
     assert entails(gen.theory, [gen.literal("l")], EXHAUSTIVE, budget=50_000)
     assert entails(gen.theory, [gen.literal("l")], EXHAUSTIVE, budget=13_000)
+    assert entails(gen.theory, [gen.literal("l")], EXHAUSTIVE, budget=3)
+    assert len(extensions(gen.theory, budget=6_000)) == 420
+
+
+def test_lower_bounds_answer_a_planted_core_within_small_budgets():
+    # All four sign patterns of x1, x2 make the formula unsatisfiable; the
+    # last clause is free.  The parent search needed 12 477 nodes for the
+    # query and 17 949 for ``extensions``.
+    phi = Cnf3(5, ((1, 1, 2), (1, 1, -2), (-1, -1, 2), (-1, -1, -2), (3, -4, 5)))
+    gen = build_thm10(phi)
+    assert entails(gen.theory, [gen.literal("l")], EXHAUSTIVE, budget=50)
+    assert extensions(gen.theory, budget=6_000)
+
+
+def test_a_rule_no_leaf_can_refute_is_never_blocked():
+    # Blocking any of these rules leads only to leaves its apply branch has
+    # already yielded, so the search is one path of 13 nodes, not 25.
+    t = DefaultTheory([normal_rule("", f"a{i}") for i in range(12)], lits())
+    (sig,) = extensions(t, budget=13)
+    assert sig.generating == tuple(range(12))
+    assert sig.literals == lits(*(f"a{i}" for i in range(12)))
 
 
 def test_signature_set_checks_consistency_once(monkeypatch):
@@ -160,7 +184,18 @@ def test_exhaustive_backend_matches_reiter_on_non_normal_rules():
         ]
         t = DefaultTheory(rules, part(letters, 0, 2))
         text, want = theory_to_text(t), reiter_extensions(t)
-        assert ext_sets(t) == want, text
+        exts = extensions(t)
+        assert {e.literals for e in exts} == want, text
+        for e in exts:
+            # The generating rules, applied in order from the facts, are
+            # grounded, none is refuted by E, and they rebuild E exactly.
+            rebuilt = set(t.facts)
+            for i in e.generating:
+                d = t.defaults[i]
+                assert d.prerequisite <= rebuilt, (text, e)
+                assert not any(j.negate() in e.literals for j in d.justification), (text, e)
+                rebuilt |= d.consequent
+            assert rebuilt == e.literals, (text, e)
         # Multi-literal consequents leave goals half held inside the search.
         everything = is_inconsistent(t.facts)
         queries = [Literal(x, p) for x in sorted(t.letters()) for p in (True, False)]
