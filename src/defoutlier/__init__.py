@@ -64,12 +64,10 @@ from .semantics import (
     DEFAULT_BUDGET,
     EXHAUSTIVE,
     FAST,
-    Proof,
     SignatureSet,
     brave_member,
     entails,
     extensions,
-    find_proof,
     is_extension,
 )
 

@@ -149,7 +149,7 @@ def _run(args) -> int:
             all_witnesses=args.all_witnesses,
         )
         print(f"strong outlier: {'yes' if report.found else 'no'}")
-        for line in outliers.format_report_lines(report) if report.found else []:
+        for line in outliers.format_report_lines(report):
             print(line)
         return 0 if report.found else 1
 

@@ -8,17 +8,19 @@ makes every downstream enumeration reproducible.  The graph and the order of
 the rule letters are compiled once per rule base, and so is the ancestor cone
 of each rule letter, which every layer reads through ``influencing_letters``.
 One frontier walk, ``reach``, serves the cones, their mirror
-``downstream_components`` and the fast backend's positive-reachability
-fixpoint.
+``downstream_components``, the fast backend's positive-reachability
+fixpoint and the rule chains that ground ``semantics.is_extension``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Container, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .core import DefaultRule, DefaultTheory, Literal, _rule_letters, compiled, lett
+
+K = TypeVar("K", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,12 @@ def decompose(theory: DefaultTheory) -> SccDecomposition:
 
 
 def reach(
-    adjacency: Mapping[str, Iterable[str]], sources: Iterable[str], allowed: Container[str], blocked: Container[str]
-) -> set[str]:
-    """The sources and every letter reachable from them along ``adjacency``,
-    entering only letters in ``allowed`` and not in ``blocked``.  The one
-    walk behind the ancestor cones and the NU positive-reachability fixpoint."""
+    adjacency: Mapping[K, Iterable[K]], sources: Iterable[K], allowed: Container[K], blocked: Container[K]
+) -> set[K]:
+    """The sources and every key reachable from them along ``adjacency``,
+    entering only keys in ``allowed`` and not in ``blocked``.  The one walk
+    behind the ancestor cones, the NU positive-reachability fixpoint and
+    the extension check's rule chains."""
     seen = set(sources)
     frontier = list(seen)
     while frontier:

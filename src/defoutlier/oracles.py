@@ -73,15 +73,18 @@ def to_dimacs(phi: Cnf3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sat(phi: Cnf3, max_vars: int = 20) -> tuple[bool, frozenset[Literal] | None]:
+SAT_MAX_VARS = 20  # the truth table has 2**n rows
+
+
+def sat(phi: Cnf3) -> tuple[bool, frozenset[Literal] | None]:
     """Truth-table satisfiability; returns a model as a literal set if any.
 
     The model uses the ``x{i}`` letter encoding: ``x_i`` when true,
     ``-x_i`` when false.
     """
     n = phi.variable_count
-    if n > max_vars:
-        raise ValueError(f"too many variables for the truth-table oracle ({n} > {max_vars})")
+    if n > SAT_MAX_VARS:
+        raise ValueError(f"too many variables for the truth-table oracle ({n} > {SAT_MAX_VARS})")
     for bits in range(1 << n):
         ok = True
         for cl in phi.clauses:

@@ -306,8 +306,6 @@ def minimal_strong_witnesses(
 def format_report_lines(report: OutlierReport, all_witnesses: bool = True) -> list[str]:
     """Line-oriented text: one line per (outlier, witness) pair."""
     strong = "true" if report.strong else "false"
-    if not report.witnesses:
-        return [f"outlier {format_literals(report.outlier)} witness none strong={strong}"]
     shown = report.witnesses if all_witnesses else report.witnesses[:1]
     return [
         f"outlier {format_literals(report.outlier)} witness {format_literals(w)} strong={strong}"

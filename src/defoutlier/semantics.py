@@ -1,4 +1,4 @@
-"""Extensions, entailment, and proofs for disjunction-free default theories.
+"""Extensions, entailment, and extension checking for disjunction-free default theories.
 
 Two entailment backends are provided.  The exhaustive backend enumerates
 every signature set by depth-first search over rule application sequences,
@@ -69,18 +69,6 @@ class SignatureSet:
 
     def contains(self, literal: Literal) -> bool:
         return self.inconsistent or literal in self.literals
-
-
-@dataclass(frozen=True)
-class Proof:
-    """A grounded derivation of a literal: either a fact or a rule chain."""
-
-    target: Literal
-    steps: tuple
-    in_w: bool
-
-    def __len__(self) -> int:
-        return 0 if self.in_w else len(self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -238,87 +226,36 @@ def brave_member(theory: DefaultTheory, literal: Literal, budget: int = DEFAULT_
 
 
 # ---------------------------------------------------------------------------
-# Theorem-style extension check and proofs (NMU scope)
+# Extension check (NMU scope)
 # ---------------------------------------------------------------------------
-
-
-def _require_nmu(theory: DefaultTheory, op: str) -> None:
-    if not classify(theory).is_nmu:
-        raise ScopeError(f"{op} requires a normal mixed unary theory")
-
-
-def _derivations(
-    theory: DefaultTheory, context: frozenset[Literal]
-) -> dict[Literal, tuple[Literal | None, int]]:
-    """Literals provable via rule chains w.r.t. (D, W) and the context set.
-
-    Breadth-first from the rules that are prerequisite-free or grounded in a
-    fact (the chain start, None), never concluding a literal the context
-    contradicts.  Each literal maps to the conclusion it chains from and the
-    rule's index; these parent links form shortest chains.
-    """
-    chained: dict[Literal | None, list[int]] = {}
-    for i, d in enumerate(theory.defaults):
-        (p,) = d.prerequisite or (None,)
-        chained.setdefault(None if p in theory.facts else p, []).append(i)
-    parent: dict[Literal, tuple[Literal | None, int]] = {}
-    queue: list[Literal | None] = [None]
-    for prev in queue:  # the queue grows while it is walked
-        for i in chained.get(prev, ()):
-            (c,) = theory.defaults[i].consequent
-            if c not in parent and c.negate() not in context:
-                parent[c] = (prev, i)
-                queue.append(c)
-    return parent
 
 
 def is_extension(theory: DefaultTheory, candidate: frozenset[Literal]) -> bool:
     """Decide whether a literal set is an extension of a consistent NMU theory.
 
-    Holds iff the facts are contained, every default is satisfied (its
-    prerequisite is absent, or its consequent is present or contradicted),
-    and every member literal has a grounded proof.
+    Holds iff the candidate is consistent and holds the facts, every
+    default is satisfied (its prerequisite is absent, or its consequent is
+    present or contradicted), and every member literal that is not a fact
+    ends a rule chain inside the candidate: one ``depgraph.reach`` walk from
+    the rules that are prerequisite-free or grounded in a fact.  Every rule
+    such a chain meets is applicable, hence satisfied, so the walk never
+    needs a literal outside the candidate.
     """
-    _require_nmu(theory, "is_extension")
+    if not classify(theory).is_nmu:
+        raise ScopeError("is_extension requires a normal mixed unary theory")
     if not theory.consistent_facts():
         raise ScopeError("is_extension requires consistent facts")
     candidate = frozenset(candidate)
-    if not theory.facts <= candidate:
+    if not theory.facts <= candidate or is_inconsistent(candidate):
         return False
+    chained: dict[Literal | None, list[Literal]] = {}
     for d in theory.defaults:
-        if d.prerequisite:
-            (p,) = d.prerequisite
-            if p not in candidate:
-                continue
+        (p,) = d.prerequisite or (None,)
         (c,) = d.consequent
-        if c not in candidate and c.negate() not in candidate:
+        if (p is None or p in candidate) and c not in candidate and c.negate() not in candidate:
             return False
-    return candidate <= theory.facts | _derivations(theory, candidate).keys()
-
-
-def find_proof(
-    theory: DefaultTheory, literal: Literal, context: Iterable[Literal]
-) -> Proof | None:
-    """Shortest grounded rule chain deriving the literal, or a fact marker.
-
-    A chain is valid when each rule is prerequisite-free, grounded in a fact,
-    or chained to the previous conclusion, and no conclusion along it is
-    contradicted by the context.  Shortest chains are minimal: removing any
-    rule breaks them.
-    """
-    _require_nmu(theory, "find_proof")
-    if literal in theory.facts:
-        return Proof(literal, (), True)
-
-    parent = _derivations(theory, frozenset(context))
-    if literal not in parent:
-        return None
-    steps = []
-    at: Literal | None = literal
-    while at is not None:
-        at, i = parent[at]
-        steps.append(theory.defaults[i])
-    return Proof(literal, tuple(reversed(steps)), False)
+        chained.setdefault(None if p in theory.facts else p, []).append(c)
+    return candidate <= theory.facts | reach(chained, (None,), candidate, ())
 
 
 # ---------------------------------------------------------------------------

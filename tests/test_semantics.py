@@ -22,7 +22,6 @@ from defoutlier import (
     dualize,
     entails,
     extensions,
-    find_proof,
     is_extension,
     is_inconsistent,
     lit,
@@ -340,60 +339,26 @@ def test_is_extension_agrees_with_enumeration():
                 assert is_extension(t, cand) == (cand in valid)
 
 
-# ---------------------------------------------------------------------------
-# Proofs
-# ---------------------------------------------------------------------------
+def test_is_extension_on_a_reversed_chain():
+    chain = [normal_rule("", "x0")] + [normal_rule(f"x{i}", f"x{i + 1}") for i in range(599)]
+    t = DefaultTheory(chain[::-1], [])
+    extension = lits(*(f"x{i}" for i in range(600)))
+    assert is_extension(t, extension)
+    assert not is_extension(t, extension - lits("x599"))
+    assert not is_extension(t, extension | lits("y"))
 
 
-def test_proof_from_facts(credit_card):
-    p = find_proof(credit_card, lit("CreditNumber"), credit_card.facts)
-    assert p is not None and p.in_w and len(p) == 0
-
-
-def test_proof_single_rule(credit_card):
-    reduced = credit_card.with_facts(lits("CreditNumber"))
-    ctx = lits("CreditNumber", "-MultipleIPs")
-    p = find_proof(reduced, lit("-MultipleIPs"), ctx)
-    assert p is not None and not p.in_w
-    assert [str(d) for d in p.steps] == ["CreditNumber : -MultipleIPs / -MultipleIPs"]
-
-
-def test_proof_blocked_by_context(cellphone):
-    assert find_proof(cellphone, lit("MfC"), lits("-MfC")) is None
-
-
-def test_proof_chain_structure():
-    t = parse_theory("fact a. default a : b / b. default b : c / c.")
-    p = find_proof(t, lit("c"), lits("a", "b", "c"))
-    assert p is not None and len(p) == 2
-    # each step chains on the previous conclusion or is grounded in W
-    prev = None
-    for d in p.steps:
-        if d.prerequisite:
-            (pre,) = d.prerequisite
-            assert pre in t.facts or (prev is not None and pre in prev)
-        prev = d.consequent
-    (last,) = p.steps[-1].consequent
-    assert last == lit("c")
-
-
-def test_proof_soundness_and_completeness_against_extensions():
-    # Within an extension's signature set, exactly its members have proofs.
-    for seed in range(20):
-        t = random_theory("NMU", 5, 7, 2, seed=seed)
-        for e in extensions(t):
-            ctx = e.literals
-            letters = sorted(t.letters())
-            for x in letters:
-                for q in (Literal(x, True), Literal(x, False)):
-                    has = find_proof(t, q, ctx) is not None
-                    assert has == (q in ctx), (t, q, ctx)
-
-
-def test_proof_requires_nmu():
-    t = DefaultTheory([normal_rule("a & b", "c")], [])
-    with pytest.raises(ScopeError):
-        find_proof(t, lit("c"), frozenset())
+@settings(max_examples=200, deadline=None)
+@given(nu_theories())
+def test_is_extension_matches_reiter_extensions(theories):
+    # Every candidate of the facts plus up to 3 literals, one letter absent from the theory.
+    for t in theories:
+        valid = reiter_extensions(t)
+        universe = [Literal(x, p) for x in sorted(t.letters()) + ["z"] for p in (True, False)]
+        for size in range(4):
+            for combo in itertools.combinations(universe, size):
+                cand = t.facts | frozenset(combo)
+                assert is_extension(t, cand) == (cand in valid), cand
 
 
 # ---------------------------------------------------------------------------
