@@ -6,7 +6,7 @@ letters.  The SCC decomposition is ordered so that no later component can
 reach an earlier one, with ties broken by smallest member letter, which
 makes every downstream enumeration reproducible.  The graph and the order of
 the rule letters are compiled once per rule base, and so is the ancestor cone
-of each rule letter, which every layer reads through ``influencing_letters``.
+of each rule letter, which every layer reads through ``cone_lookup``.
 One frontier walk, ``reach``, serves the cones, their mirror
 ``downstream_components``, the fast backend's positive-reachability
 fixpoint and the rule chains that ground ``semantics.is_extension``.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Container, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .core import DefaultRule, DefaultTheory, Literal, _rule_letters, compiled, lett
 
@@ -186,14 +186,21 @@ def influences(theory: DefaultTheory, s: Iterable[Literal], target: Literal) -> 
     return not lett(s).isdisjoint(influencing_letters(theory, (target.letter,)))
 
 
+def cone_lookup(theory: DefaultTheory) -> Callable[[str], frozenset[str]]:
+    """The rule base's per-letter ancestor cone: a letter maps to the letters
+    with a (possibly empty) path to it, each cone kept once per rule base.
+    Look it up once per call and apply it to each letter."""
+    return compiled(theory, _compile).cone
+
+
 def influencing_letters(theory: DefaultTheory, targets: Iterable[str]) -> frozenset[str]:
     """Letters with a (possibly empty) path to some target letter: the
-    union of the targets' cones, each kept once per rule base."""
-    graph = compiled(theory, _compile)
+    union of the targets' cones."""
+    cone = cone_lookup(theory)
     targets = tuple(targets)
     if len(targets) == 1:
-        return graph.cone(targets[0])
-    return frozenset().union(*map(graph.cone, targets))
+        return cone(targets[0])
+    return frozenset().union(*map(cone, targets))
 
 
 def downstream_components(theory: DefaultTheory, sources: Iterable[str]) -> Iterator[frozenset[str]]:

@@ -7,6 +7,14 @@ subsets) must have all its negations entailed once S is withdrawn
 one in the general variant.  Each public operation decides both through
 one ``_Checker``, which also rejects inconsistent facts and counts work.
 
+On normal unary rules the ancestor cone of each literal of S splits the
+theory (Turner 1996), so the witness checks split S by cone: withdrawing L
+as well leaves unchanged whether the negation of a literal whose cone misses
+L is entailed, and condition 1 has it entailed.  The strong check fails
+without an entailment when S has such a literal; the general one fails when
+every literal of S is such, and otherwise asks the literals on L's cone
+first in condition 1 and only them in condition 2.
+
 Strong-outlier search exploits two structural facts: every inclusion-
 minimal strong witness has all of its letters inside a single strongly
 connected component of the dependency graph, and removing fact literals
@@ -33,9 +41,8 @@ from .core import (
     format_literals,
     lett,
     literal_order,
-    negate_all,
 )
-from .depgraph import downstream_components, influencing_letters
+from .depgraph import cone_lookup, downstream_components, influencing_letters
 from .errors import InvalidQueryError, ScopeError
 from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
 
@@ -97,16 +104,19 @@ class _Checker:
         self.budget = budget
         self.stats = SearchStats()
 
-    def cond1(self, s: LiteralSet) -> bool:
-        """With S withdrawn, the theory entails the negation of S."""
+    def cond1(self, s: Iterable[Literal]) -> bool:
+        """With S withdrawn, the theory entails the negation of S, negated
+        lazily and asked in S's order."""
         self.stats.entailment_calls += 1
-        return entails(self.theory.remove_facts(s), negate_all(s), self.backend, self.budget)
+        return entails(self.theory.remove_facts(s), map(Literal.negate, s), self.backend, self.budget)
 
-    def cond2(self, l: LiteralSet, s: LiteralSet) -> bool:
+    def cond2(self, l: LiteralSet, s: LiteralSet, on: Iterable[Literal] | None = None) -> bool:
         """With S and L withdrawn, the theory no longer entails the negation
-        of S (strong: of any single literal of S)."""
+        of S (strong: of any single literal of S).  Given ``on``, only its
+        literals of S are asked: the caller knows the rest stay entailed."""
         reduced = self.theory.remove_facts(s | l)
-        goals = ([x.negate()] for x in s) if self.strong else (negate_all(s),)
+        asked = s if on is None else on
+        goals = ([x.negate()] for x in asked) if self.strong else (map(Literal.negate, asked),)
         for goal in goals:
             self.stats.entailment_calls += 1
             if entails(reduced, goal, self.backend, self.budget):
@@ -133,11 +143,17 @@ def _check_witness(theory, outlier, witness, strong: bool, backend: str, budget:
     if not (l | s) <= theory.facts:
         raise InvalidQueryError("outlier and witness candidates must be subsets of the facts")
     check = _Checker(theory, strong, backend, budget)
-    if check.fragment.is_nmu and lett(l).isdisjoint(influencing_letters(theory, lett(s))):
-        # The rules are normal and unary, so the cone of S splits the theory:
-        # withdrawing L off it leaves cond1's answer, and cond2 negates it.
+    if not check.fragment.is_nmu:
+        return check.cond1(s) and check.cond2(l, s)
+    # The split of S by cone (module docstring): asking the literals on L's
+    # cone first lets cond1 fail early, and cond2 need ask no other.
+    cone, own = cone_lookup(theory), lett(l)
+    on, off = [], []
+    for x in s:
+        (off if own.isdisjoint(cone(x.letter)) else on).append(x)
+    if not on or strong and off:
         return False
-    return check.cond1(s) and check.cond2(l, s)
+    return check.cond1(on + off) and check.cond2(l, s, on)
 
 
 def is_witness(

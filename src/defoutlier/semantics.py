@@ -28,10 +28,10 @@ normal and unary, so a predecessor-closed letter set is a splitting set
 cone changes the answer.  A goal literal whose cone has c letters, with e
 rules mentioning them, costs O(c * e), whatever the size of the theory: its
 fact letters are the cone intersected with the theory's fact index, O(c),
-which that bound covers.  The cone comes from
-``depgraph.influencing_letters``, which keeps it once per letter and rule
-base for every layer.  Both backends agree wherever the fast one applies,
-as the test suite checks on large seeded random families.
+which that bound covers.  The cone comes from ``depgraph.cone_lookup``,
+looked up once per call, which keeps it once per letter and rule base for
+every layer.  Both backends agree wherever the fast one applies, as the test
+suite checks on large seeded random families.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import DefaultTheory, Literal, _rule_letters, classify, compiled, is_inconsistent, literal_order
-from .depgraph import influencing_letters, reach
+from .depgraph import cone_lookup, reach
 from .errors import BudgetExceededError, ScopeError
 
 EXHAUSTIVE = "exhaustive"
@@ -366,8 +366,9 @@ def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal]) -> bool:
     # A DNU rule base is filed with its polarity swapped: a fact is positive
     # there iff its polarity equals ``nu``, and the goal is negated.
     ent = compiled(theory, _NuEntailer)
+    cone_of = cone_lookup(theory)
     for q in goal:
-        cone = influencing_letters(theory, (q.letter,))
+        cone = cone_of(q.letter)
         pos, neg = set(), set()
         for x in index.keys() & cone:
             (pos if index[x].positive == ent.nu else neg).add(x)
@@ -386,9 +387,10 @@ def entails(
 
     Incoherent theories entail everything vacuously; theories with
     inconsistent facts entail everything.  ``backend`` is one of
-    ``"exhaustive"``, ``"fast"`` (NU/DNU only) or ``"auto"``.
+    ``"exhaustive"``, ``"fast"`` (NU/DNU only) or ``"auto"``.  The goal is
+    read once, so an iterator will do; the fast backend stops reading it at
+    the first literal not entailed.
     """
-    goal = list(goal)
     if backend in (AUTO, FAST):
         frag = classify(theory)
         if frag.is_nu or frag.is_dnu:

@@ -24,6 +24,7 @@ from defoutlier import (
     is_strong_witness,
     is_witness,
     lett,
+    lit,
     lits,
     minimal_strong_witnesses,
     negate_all,
@@ -573,12 +574,15 @@ def test_each_cone_is_walked_once_across_layers(monkeypatch):
 
 
 def _counting_entails(monkeypatch):
+    """Record the goal of every entailment made through ``outliers.entails``,
+    in the order it is read."""
     calls = []
     real = entails
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def counting(theory, goal, *args, **kwargs):
+        goal = list(goal)
+        calls.append(goal)
+        return real(theory, goal, *args, **kwargs)
 
     monkeypatch.setattr(outliers, "entails", counting)
     return calls
@@ -611,17 +615,38 @@ def test_recognize_reads_only_downstream_of_the_outlier(monkeypatch):
 
 
 def test_off_cone_rule_matches_the_oracle_on_unary_theories():
+    # Witness candidates of 1-3 facts mix literals on and off L's cone.
+    found = {(strong, mixed): 0 for strong in (False, True) for mixed in (False, True)}
     for fragment in ("NU", "DNU", "NMU"):
+        backends = (FAST, EXHAUSTIVE) if fragment != "NMU" else (EXHAUSTIVE,)
         for seed in range(20):
             t = random_theory(fragment, 6, 8, 2, seed=seed)
             oracle = ExhaustiveOracle(t)
-            facts = sorted(t.facts, key=str)
-            for l, s in itertools.permutations(facts[:4], 2):
-                l, s = frozenset([l]), frozenset([s])
-                for strong, check in ((False, is_witness), (True, is_strong_witness)):
-                    want = oracle.is_witness(l, s, strong)
-                    assert check(t, l, s) == want
-                    assert check(t, l, s, EXHAUSTIVE) == want
+            facts, cone = sorted(t.facts, key=str)[:5], depgraph.cone_lookup(t)
+            for l in map(frozenset, nonempty_subsets(facts, 2)):
+                for s in map(frozenset, nonempty_subsets([x for x in facts if x not in l], 3)):
+                    mixed = len({lett(l).isdisjoint(cone(x.letter)) for x in s}) == 2
+                    for strong, check in ((False, is_witness), (True, is_strong_witness)):
+                        want = oracle.is_witness(l, s, strong)
+                        for backend in backends:
+                            assert check(t, l, s, backend) == want, (fragment, seed, l, s, strong, backend)
+                        found[strong, mixed] += want
+    assert found[False, True] and found[True, False]  # so a wrong split would show
+    assert not found[True, True]
+
+
+def test_witness_checks_ask_only_what_the_split_leaves_open(monkeypatch):
+    # The cone of a is {l, a} and the cone of b is {b}: b lies off L's cone.
+    t = parse_theory("fact l. fact a. fact b. default l : -a / -a. default : -b / -b.")
+    l, s = lits("l"), lits("a", "b")
+    calls = _counting_entails(monkeypatch)
+    for backend in (FAST, EXHAUSTIVE):
+        assert not is_strong_witness(t, l, s, backend)
+        assert calls == []
+        assert is_witness(t, l, s, backend)
+        # cond1 asks the on-cone negation first; cond2 asks only it.
+        assert calls == [[lit("-a"), lit("-b")], [lit("-a")]]
+        del calls[:]
 
 
 def test_off_cone_rule_needs_unary_normal_rules():

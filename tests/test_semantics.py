@@ -397,6 +397,27 @@ def test_fast_backend_scope_error():
         entails(t, lits("b"), FAST)
 
 
+def _answer(theory, goal, backend):
+    try:
+        return entails(theory, goal, backend)
+    except ScopeError as e:
+        return type(e)
+
+
+def test_entails_reads_a_one_shot_goal_once():
+    for fragment in ("NU", "NMU"):
+        t = random_theory(fragment, 6, 8, 2, seed=3)
+        singles = [[Literal(x, p)] for x in sorted(t.letters()) for p in (True, False)]
+        goals = [[], *singles, *(a + b for a, b in itertools.combinations(singles, 2))]
+        for backend in (FAST, EXHAUSTIVE, semantics.AUTO):
+            answers = [_answer(t, iter(goal), backend) for goal in goals]
+            assert answers == [_answer(t, goal, backend) for goal in goals]
+            if fragment == "NU":
+                assert True in answers and False in answers
+            else:
+                assert set(answers) == ({ScopeError} if backend == FAST else {True, False})
+
+
 def test_brave_member_examples():
     t = parse_theory(TWO_EXT)
     assert brave_member(t, lit("y"))
