@@ -30,10 +30,6 @@ def _read_theory(path: str):
     return parse_theory(_read_text(path), allow_reserved=True)
 
 
-def _read_cnf(path: str) -> oracles.Cnf3:
-    return oracles.parse_dimacs(_read_text(path))
-
-
 def _literal_list(text: str) -> frozenset[Literal]:
     return lits(*text.split(","))
 
@@ -185,7 +181,7 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "reduce":
-        gen = oracles.BUILDERS[args.construction](_read_cnf(args.cnf))
+        gen = oracles.BUILDERS[args.construction](oracles.parse_dimacs(_read_text(args.cnf)))
         names = " ".join(f"{k}={v}" for k, v in sorted(gen.designated.items()))
         print(f"% construction={gen.construction} {names}")
         sys.stdout.write(theory_to_text(gen.theory))

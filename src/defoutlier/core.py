@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import ParseError, ReservedLetterError
 
@@ -44,9 +44,6 @@ class Literal:
 
     def negate(self) -> "Literal":
         return Literal(self.letter, not self.positive)
-
-    def __neg__(self) -> "Literal":
-        return self.negate()
 
     def __str__(self) -> str:
         return self.letter if self.positive else "-" + self.letter
@@ -118,13 +115,6 @@ class DefaultRule:
     def normal(self) -> bool:
         return self.justification == self.consequent
 
-    def dual(self) -> "DefaultRule":
-        return DefaultRule(
-            negate_all(self.prerequisite),
-            negate_all(self.justification),
-            negate_all(self.consequent),
-        )
-
     def letters(self) -> frozenset[str]:
         return lett(self.prerequisite) | lett(self.justification) | lett(self.consequent)
 
@@ -152,18 +142,14 @@ def normal_rule(pre: str, concl: str) -> DefaultRule:
     return rule(pre, concl, concl)
 
 
-class RuleBase(dict):
-    """Rule-level items of one deduplicated defaults tuple.
-
-    Every fact-set variant of a theory shares its rule base.  ``compiled``
-    fills it lazily, keyed by the function that computes each item from the
-    rules.  Two threads filling the same item at once may both compute it,
-    but only to equal values.
-    """
-
-
 def compiled(theory: "DefaultTheory", build: Callable[[tuple[DefaultRule, ...]], T]) -> T:
-    """``build(theory.defaults)``, computed once per rule base and kept."""
+    """``build(theory.defaults)``, computed once per rule base and kept.
+
+    The rule base is a dict that every fact-set variant of a theory shares,
+    keyed by the function that computes each item from the rules.  Two
+    threads filling the same item at once may both compute it, but only to
+    equal values.
+    """
     items = theory._rules
     try:
         return items[build]
@@ -183,8 +169,9 @@ class DefaultTheory:
 
     Rules are kept in order but deduplicated (set semantics); facts are a
     literal set.  Instances are immutable and safe to share.  Fact-set
-    variants made by ``with_facts`` and ``remove_facts`` share one
-    ``RuleBase``, which takes no part in equality, hashing or ``repr``.
+    variants made by ``with_facts`` and ``remove_facts`` share one rule
+    base (see ``compiled``), which takes no part in equality, hashing or
+    ``repr``.
     Nor does the fact index, each fact letter mapped to its fact:
     ``fact_index`` builds it on first need, only for consistent facts, and
     ``remove_facts`` hands a copy on without the removed facts, since a
@@ -193,14 +180,14 @@ class DefaultTheory:
 
     defaults: tuple[DefaultRule, ...]
     facts: frozenset[Literal]
-    _rules: RuleBase = field(init=False, compare=False, repr=False)
+    _rules: dict = field(init=False, compare=False, repr=False)
     _index: dict[str, Literal] | None = field(init=False, compare=False, repr=False)
 
     def __init__(self, defaults: Iterable[DefaultRule], facts: Iterable[Literal]):
         deduplicated = tuple(dict.fromkeys(defaults))
         object.__setattr__(self, "defaults", deduplicated)
         object.__setattr__(self, "facts", frozenset(facts))
-        object.__setattr__(self, "_rules", RuleBase())
+        object.__setattr__(self, "_rules", {})
         object.__setattr__(self, "_index", None)
 
     def letters(self) -> frozenset[str]:
@@ -242,9 +229,6 @@ class DefaultTheory:
         object.__setattr__(variant, "_rules", self._rules)
         object.__setattr__(variant, "_index", index)
         return variant
-
-    def __iter__(self) -> Iterator[DefaultRule]:
-        return iter(self.defaults)
 
 
 @dataclass(frozen=True)
@@ -297,10 +281,8 @@ def dualize(theory: DefaultTheory) -> DefaultTheory:
 
     An involution; maps NU theories to DNU ones and vice versa.
     """
-    return DefaultTheory(
-        (d.dual() for d in theory.defaults),
-        negate_all(theory.facts),
-    )
+    parts = ((d.prerequisite, d.justification, d.consequent) for d in theory.defaults)
+    return DefaultTheory((DefaultRule(*map(negate_all, p)) for p in parts), negate_all(theory.facts))
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def influences(theory: DefaultTheory, s: Iterable[Literal], target: Literal) -> 
     Reachability is reflexive: a letter influences itself via the empty path,
     whether or not it occurs in the theory.
     """
-    return not lett(s).isdisjoint(influencing_letters(theory, (target.letter,)))
+    return not lett(s).isdisjoint(cone_lookup(theory)(target.letter))
 
 
 def cone_lookup(theory: DefaultTheory) -> Callable[[str], frozenset[str]]:
@@ -193,20 +193,10 @@ def cone_lookup(theory: DefaultTheory) -> Callable[[str], frozenset[str]]:
     return compiled(theory, _compile).cone
 
 
-def influencing_letters(theory: DefaultTheory, targets: Iterable[str]) -> frozenset[str]:
-    """Letters with a (possibly empty) path to some target letter: the
-    union of the targets' cones."""
-    cone = cone_lookup(theory)
-    targets = tuple(targets)
-    if len(targets) == 1:
-        return cone(targets[0])
-    return frozenset().union(*map(cone, targets))
-
-
 def downstream_components(theory: DefaultTheory, sources: Iterable[str]) -> Iterator[frozenset[str]]:
     """The rule letters' components, in ``decompose`` order, that some source
-    letter reaches by a (possibly empty) path: the mirror of
-    ``influencing_letters``, walked per call along the compiled graph."""
+    letter reaches by a (possibly empty) path: the mirror of the ancestor
+    cones, walked per call along the compiled graph."""
     graph = compiled(theory, _compile)
     below = reach(graph.succ, sources, graph.pred, ())
     return (comp for comp in graph.order if not below.isdisjoint(comp))

@@ -13,7 +13,8 @@ as well leaves unchanged whether the negation of a literal whose cone misses
 L is entailed, and condition 1 has it entailed.  The strong check fails
 without an entailment when S has such a literal; the general one fails when
 every literal of S is such, and otherwise asks the literals on L's cone
-first in condition 1 and only them in condition 2.
+first in condition 1 and only them in condition 2.  General enumeration
+likewise asks condition 2 only of the literals whose cone meets the core.
 
 Strong-outlier search exploits two structural facts: every inclusion-
 minimal strong witness has all of its letters inside a single strongly
@@ -42,7 +43,7 @@ from .core import (
     lett,
     literal_order,
 )
-from .depgraph import cone_lookup, downstream_components, influencing_letters
+from .depgraph import cone_lookup, downstream_components
 from .errors import InvalidQueryError, ScopeError
 from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
 
@@ -51,12 +52,12 @@ logger = logging.getLogger(__name__)
 LiteralSet = frozenset[Literal]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchStats:
-    """Counters: candidates tried and entails() invocations made.  Enumeration
-    counts witness candidates (facts on rule letters only; one with no other
-    fact on its influence cone makes no entailment) and influence-cone cores,
-    not padded outliers."""
+    """Counters: candidates tried and entails() invocations made, as of the
+    end of the operation.  Enumeration counts witness candidates (facts on
+    rule letters only; one with no other fact on its influence cone makes no
+    entailment) and influence-cone cores, not padded outliers."""
 
     candidates_examined: int = 0
     entailment_calls: int = 0
@@ -102,23 +103,25 @@ class _Checker:
         self.strong = strong
         self.backend = backend
         self.budget = budget
-        self.stats = SearchStats()
+        self.candidates_examined = self.entailment_calls = 0
+
+    def stats(self) -> SearchStats:
+        return SearchStats(self.candidates_examined, self.entailment_calls)
 
     def cond1(self, s: Iterable[Literal]) -> bool:
         """With S withdrawn, the theory entails the negation of S, negated
         lazily and asked in S's order."""
-        self.stats.entailment_calls += 1
+        self.entailment_calls += 1
         return entails(self.theory.remove_facts(s), map(Literal.negate, s), self.backend, self.budget)
 
-    def cond2(self, l: LiteralSet, s: LiteralSet, on: Iterable[Literal] | None = None) -> bool:
+    def cond2(self, l: LiteralSet, s: LiteralSet, on: Iterable[Literal]) -> bool:
         """With S and L withdrawn, the theory no longer entails the negation
-        of S (strong: of any single literal of S).  Given ``on``, only its
-        literals of S are asked: the caller knows the rest stay entailed."""
+        of S (strong: of any single literal of S).  Only the literals ``on``
+        of S are asked: the caller knows the rest stay entailed."""
         reduced = self.theory.remove_facts(s | l)
-        asked = s if on is None else on
-        goals = ([x.negate()] for x in asked) if self.strong else (map(Literal.negate, asked),)
+        goals = ([x.negate()] for x in on) if self.strong else (map(Literal.negate, on),)
         for goal in goals:
-            self.stats.entailment_calls += 1
+            self.entailment_calls += 1
             if entails(reduced, goal, self.backend, self.budget):
                 return False
         return True
@@ -128,7 +131,7 @@ class _Checker:
         at most ``max_size``.  Each one counts; the caller checks condition 1."""
         for pool in pools:
             for s in map(frozenset, _subsets(pool, max_size)):
-                self.stats.candidates_examined += 1
+                self.candidates_examined += 1
                 yield s
 
 
@@ -144,7 +147,7 @@ def _check_witness(theory, outlier, witness, strong: bool, backend: str, budget:
         raise InvalidQueryError("outlier and witness candidates must be subsets of the facts")
     check = _Checker(theory, strong, backend, budget)
     if not check.fragment.is_nmu:
-        return check.cond1(s) and check.cond2(l, s)
+        return check.cond1(s) and check.cond2(l, s, s)
     # The split of S by cone (module docstring): asking the literals on L's
     # cone first lets cond1 fail early, and cond2 need ask no other.
     cone, own = cone_lookup(theory), lett(l)
@@ -212,11 +215,11 @@ def recognize_strong(
     pools = (theory.facts_on(comp - own) for comp in downstream_components(theory, own))
     found: list[LiteralSet] = []
     for s in check.candidates(pools):
-        if check.cond1(s) and check.cond2(outlier, s):
+        if check.cond1(s) and check.cond2(outlier, s, s):
             found.append(s)
             if not all_witnesses:
                 break
-    return OutlierReport(outlier, tuple(found), True, check.stats)
+    return OutlierReport(outlier, tuple(found), True, check.stats())
 
 
 def _enumerate(
@@ -238,32 +241,37 @@ def _enumerate(
     letters = lett(theory.facts)
     comps = downstream_components(theory, letters)
     pools = map(theory.facts_on, comps) if strong else [theory.facts_on(frozenset().union(*comps))]
+    cone = cone_lookup(theory)
 
     hits: dict[LiteralSet, list[LiteralSet]] = {}
     for s_set in check.candidates(pools, h):
         # Incremental lemma: only facts on the influence cone of S matter, so
         # a candidate with no other fact there yields no outlier and skips cond1.
+        # A strong S lies in one SCC, whose letters share one cone.
         s_letters = lett(s_set)
-        cone = influencing_letters(theory, s_letters)
-        near = theory.facts_on(cone - s_letters)
+        s_cone = cone(next(iter(s_letters))) if strong else frozenset().union(*map(cone, s_letters))
+        near = theory.facts_on(s_cone - s_letters)
         if not near or not check.cond1(s_set):
             continue
+        cones = [(x, cone(x.letter)) for x in s_set]
         far = None
         for core in map(frozenset, _subsets(near, k)):
-            check.stats.candidates_examined += 1
-            if not check.cond2(core, s_set):
+            check.candidates_examined += 1
+            # The split of S by cone (module docstring): every core meets the
+            # one cone of a strong S, so cond2 asks all of S; a general cond2
+            # asks only the literals whose cone meets the core.
+            on = s_set if strong else [x for x, c in cones if not lett(core).isdisjoint(c)]
+            if not check.cond2(core, s_set, on):
                 continue
             hits.setdefault(core, []).append(s_set)
             if len(core) < k:  # room for a pad of off-cone facts
                 if far is None:
-                    far = theory.facts_on(letters - cone)
+                    far = theory.facts_on(letters - s_cone)
                 for pad in _subsets(far, k - len(core)):
                     hits.setdefault(core | frozenset(pad), []).append(s_set)
 
-    reports = [
-        OutlierReport(l_set, tuple(wits), strong, check.stats)
-        for l_set, wits in hits.items()
-    ]
+    stats = check.stats()
+    reports = [OutlierReport(l_set, tuple(wits), strong, stats) for l_set, wits in hits.items()]
     reports.sort(key=lambda r: sorted(map(literal_order, r.outlier)))
     return tuple(reports)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -365,7 +367,8 @@ def cone_pairs(draw, max_witness):
     t = draw(st.sampled_from(draw(observed_nu_theories())))
 
     def near(s):
-        return [x for x in t.facts_on(depgraph.influencing_letters(t, lett(s))) if x not in s]
+        cone = frozenset().union(*map(depgraph.cone_lookup(t), lett(s)))
+        return [x for x in t.facts_on(cone) if x not in s]
 
     facts = sorted(t.facts, key=str)
     first = [x for x in facts if near({x})]
@@ -649,19 +652,78 @@ def test_witness_checks_ask_only_what_the_split_leaves_open(monkeypatch):
         del calls[:]
 
 
+def test_general_enumeration_asks_cond2_only_on_the_core_cone(monkeypatch):
+    t = parse_theory("fact l. fact a. fact b. default l : -a / -a. default : -b / -b.")
+    calls = _counting_entails(monkeypatch)
+    for backend in (FAST, EXHAUSTIVE):
+        (report,) = enumerate_general(t, 1, 2, backend)
+        assert report.outlier == lits("l")
+        assert set(report.witnesses) == {lits("a"), lits("a", "b")}
+        assert calls[-1] == [lit("-a")]  # b lies off the cone of the core {l}
+
+
+def test_enumeration_splits_s_by_the_core_cone(monkeypatch):
+    # A strong S lies in one SCC, whose letters share one cone, so every
+    # literal of S has the core on its cone; a general S may have literals
+    # off it, and cond2 asks only the others.
+    seen, real = [], outliers._Checker.cond2
+
+    def recording(self, l, s, on):
+        seen.append((self.strong, l, s, list(on)))
+        return real(self, l, s, on)
+
+    monkeypatch.setattr(outliers._Checker, "cond2", recording)
+    off = {True: 0, False: 0}
+    for fragment in ("NU", "DNU"):
+        for seed in range(5):
+            t = random_theory(fragment, 40, 53, 3, seed)
+            cone = depgraph.cone_lookup(t)
+            seen.clear()
+            enumerate_strong(t, 2, FAST)
+            enumerate_general(t, 2, 2, FAST)
+            for strong, l, s, on in seen:
+                meets = [x for x in s if not lett(l).isdisjoint(cone(x.letter))]
+                assert sorted(on, key=str) == sorted(meets, key=str)
+                off[strong] += len(meets) < len(s)
+    assert off == {True: 0, False: off[False]} and off[False]
+
+
 def test_off_cone_rule_needs_unary_normal_rules():
     # Not normal: the justification -d is no graph edge, so {a} is off the
     # cone of {c} and still makes {c} a witness.
     t = parse_theory("fact a. fact c. fact d. default : -d / d. default a : d / -a.")
-    assert "a" not in depgraph.influencing_letters(t, {"c"})
+    assert "a" not in depgraph.cone_lookup(t)("c")
     assert is_witness(t, lits("a"), lits("c"))
     # Normal, but one rule concludes two letters: withdrawing {b} unblocks
     # the rival of the rule that concludes -s.
     t = parse_theory("fact b. fact s. default : s & -b / s & -b. default : -s / -s.")
     assert classify(t).normal and not classify(t).is_nmu
-    assert "b" not in depgraph.influencing_letters(t, {"s"})
+    assert "b" not in depgraph.cone_lookup(t)("s")
     assert is_witness(t, lits("b"), lits("s"))
     assert is_strong_witness(t, lits("b"), lits("s"))
+
+
+def test_reports_carry_frozen_counts():
+    reports = enumerate_strong(random_theory("NU", 150, 200, 1, 808), 1, FAST)
+    assert len(reports) > 1
+    assert len({r.search_stats for r in reports}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reports[0].search_stats.entailment_calls = 0
+
+
+def test_mixed_unary_search_warns_of_exhaustive_cost(caplog):
+    nmu = parse_theory("fact a. fact b. fact c. default -a : b / b. default a : c / c.")
+    with caplog.at_level(logging.DEBUG, logger="defoutlier"):
+        recognize_strong(nmu, lits("c"))
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == (
+        "recognize_strong on a mixed unary theory uses exhaustive entailment; expect exponential cost"
+    )
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="defoutlier"):
+        enumerate_strong(NU_SMALL, 1, FAST)
+    assert caplog.records == []
 
 
 def test_witness_check_outside_the_backend_scope_still_raises():

@@ -613,8 +613,8 @@ def test_negative_goal_starves_only_the_rules_concluding_its_negation(monkeypatc
 def test_dnu_rule_base_is_read_without_dual_rules(monkeypatch):
     dual = dualize(random_theory("NU", 60, 80, 1, 808))
     calls = []
-    real = DefaultRule.dual
-    monkeypatch.setattr(DefaultRule, "dual", lambda d: calls.append(d) or real(d))
+    real = DefaultRule.__post_init__
+    monkeypatch.setattr(DefaultRule, "__post_init__", lambda d: calls.append(d) or real(d))
     for x in sorted(dual.letters()):
         for q in (Literal(x, True), Literal(x, False)):
             entails(dual, [q], FAST)
