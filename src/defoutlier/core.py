@@ -11,14 +11,22 @@ conjunctions of literals.  The text format is line-oriented::
 ``-`` negates, ``&`` joins conjuncts, ``.`` terminates a statement, and the
 prerequisite may be omitted entirely ("default : b / b.").  One regex scanner
 tokenizes the format; a letter is ``[A-Za-z_][A-Za-z0-9_]*``.
+
+Every fact-set variant of a theory shares one rule base, where each item
+compiled from the rules (see ``compiled``) is kept once.  The first is the
+letter ``numbering``: the sorted rule letters, rule letter i being bit i of
+every mask over letters in the package.  A theory holds its facts on rule
+letters as two such masks, positive and negative, and ``remove_facts``
+withdraws facts by clearing bits, building the variant's ``facts`` set
+only when something reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import ParseError, ReservedLetterError
 
@@ -142,28 +150,50 @@ def normal_rule(pre: str, concl: str) -> DefaultRule:
     return rule(pre, concl, concl)
 
 
-def compiled(theory: "DefaultTheory", build: Callable[[tuple[DefaultRule, ...]], T]) -> T:
-    """``build(theory.defaults)``, computed once per rule base and kept.
+def compiled(theory: "DefaultTheory", build: Callable[["DefaultTheory"], T]) -> T:
+    """``build(theory)``, computed once per rule base and kept.
 
     The rule base is a dict that every fact-set variant of a theory shares,
-    keyed by the function that computes each item from the rules.  Two
-    threads filling the same item at once may both compute it, but only to
-    equal values.
+    keyed by the function that computes each item.  ``build`` reads only
+    the rules, directly or through other compiled items such as
+    ``numbering``.  Two threads filling the same item at once may both
+    compute it, but only to equal values.
     """
     items = theory._rules
     try:
         return items[build]
     except KeyError:
-        item = items[build] = build(theory.defaults)
+        item = items[build] = build(theory)
         return item
 
 
-def _rule_letters(defaults: tuple[DefaultRule, ...]) -> frozenset[str]:
-    parts = (part for d in defaults for part in (d.prerequisite, d.justification, d.consequent))
-    return frozenset(l.letter for part in parts for l in part)
+def numbering(theory: "DefaultTheory") -> dict[str, int]:
+    """Each rule letter mapped to its place in sorted order: the one letter
+    numbering of a rule base, compiled through ``compiled``.  Every mask over
+    letters (fact masks, cones, components, the NU fixpoint, the exhaustive
+    search's literals) gives rule letter i bit i; other letters have none."""
+    parts = (part for d in theory.defaults for part in (d.prerequisite, d.justification, d.consequent))
+    return {x: i for i, x in enumerate(sorted({l.letter for part in parts for l in part}))}
 
 
-@dataclass(frozen=True)
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def letter_mask(theory: "DefaultTheory", letters: Iterable[str]) -> int:
+    """The mask of the rule letters among ``letters``; other letters have no bit."""
+    ids = compiled(theory, numbering)
+    mask = 0
+    for x in letters:
+        if x in ids:
+            mask |= 1 << ids[x]
+    return mask
+
+
 class DefaultTheory:
     """A finite default theory (D, W) over literal conjunctions.
 
@@ -171,64 +201,106 @@ class DefaultTheory:
     literal set.  Instances are immutable and safe to share.  Fact-set
     variants made by ``with_facts`` and ``remove_facts`` share one rule
     base (see ``compiled``), which takes no part in equality, hashing or
-    ``repr``.
-    Nor does the fact index, each fact letter mapped to its fact:
-    ``fact_index`` builds it on first need, only for consistent facts, and
-    ``remove_facts`` hands a copy on without the removed facts, since a
-    subset of consistent facts is consistent.
+    ``repr``.  Nor do the fact masks (see ``fact_masks``), built on first
+    need, or the consistency mark.  ``remove_facts`` hands both on, clearing
+    only the withdrawn bits, since a subset of consistent facts is
+    consistent; its variant builds ``facts`` only when something reads it.
     """
 
+    __slots__ = ("defaults", "_rules", "_base", "_removed", "_facts", "_masks", "_at", "_consistent")
     defaults: tuple[DefaultRule, ...]
-    facts: frozenset[Literal]
-    _rules: dict = field(init=False, compare=False, repr=False)
-    _index: dict[str, Literal] | None = field(init=False, compare=False, repr=False)
 
     def __init__(self, defaults: Iterable[DefaultRule], facts: Iterable[Literal]):
-        deduplicated = tuple(dict.fromkeys(defaults))
-        object.__setattr__(self, "defaults", deduplicated)
-        object.__setattr__(self, "facts", frozenset(facts))
-        object.__setattr__(self, "_rules", {})
-        object.__setattr__(self, "_index", None)
+        facts = frozenset(facts)
+        _fill(self, tuple(dict.fromkeys(defaults)), {}, facts, (), facts, None, None, None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: DefaultTheory is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild from the rules and facts
+        return DefaultTheory, (self.defaults, self.facts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DefaultTheory):
+            return NotImplemented
+        return self.defaults == other.defaults and self.facts == other.facts
+
+    def __hash__(self) -> int:
+        return hash((self.defaults, self.facts))
+
+    def __repr__(self) -> str:
+        """The dataclass-style form, with the facts in ``literal_order`` so that
+        equal theories print alike whatever built their fact sets."""
+        facts = ", ".join(map(repr, sorted(self.facts, key=literal_order)))
+        return f"DefaultTheory(defaults={self.defaults!r}, facts=frozenset({'{' + facts + '}' if facts else ''}))"
+
+    @property
+    def facts(self) -> frozenset[Literal]:
+        if self._facts is None:  # a variant: its ancestor's facts less each withdrawal
+            object.__setattr__(self, "_facts", self._base.difference(*self._removed))
+        return self._facts
 
     def letters(self) -> frozenset[str]:
-        return compiled(self, _rule_letters) | lett(self.facts)
-
-    def fact_index(self) -> dict[str, Literal] | None:
-        """Each fact letter mapped to its fact, or None when the facts are
-        inconsistent (decided again on every call); do not mutate."""
-        if self._index is None and not is_inconsistent(self.facts):
-            object.__setattr__(self, "_index", {l.letter: l for l in self.facts})
-        return self._index
+        return lett(self.facts).union(compiled(self, numbering))
 
     def consistent_facts(self) -> bool:
-        """True iff no fact contradicts another."""
-        return self.fact_index() is not None
+        """True iff no fact contradicts another; decided once per theory."""
+        if self._consistent is None:
+            object.__setattr__(self, "_consistent", not is_inconsistent(self.facts))
+        return self._consistent
 
-    def facts_on(self, letters: frozenset[str]) -> list[Literal]:
-        """The theory's own facts on ``letters`` in ``literal_order``; they must be consistent."""
-        index = self.fact_index()
-        return [index[x] for x in sorted(letters) if x in index]
+    def fact_masks(self) -> tuple[int, int]:
+        """The facts on rule letters as two masks over ``numbering``: the
+        positive facts, then the negative ones."""
+        if self._masks is None:
+            ids = compiled(self, numbering)
+            on_rules = [(ids[l.letter], l) for l in self.facts if l.letter in ids]
+            object.__setattr__(self, "_at", dict(on_rules))  # for facts_on; its facts must be consistent
+            pos = sum(1 << i for i, l in on_rules if l.positive)
+            object.__setattr__(self, "_masks", (pos, sum(1 << i for i, l in on_rules if not l.positive)))
+        return self._masks
+
+    def facts_on(self, mask: int) -> list[Literal]:
+        """The theory's own facts on the rule letters of ``mask`` (-1 for all
+        of them), in ``literal_order``; they must be consistent.  Bits ascend
+        in sorted letter order, and consistent facts hold one literal per
+        letter."""
+        pos, neg = self.fact_masks()
+        at = self._at
+        return [at[i] for i in bits((pos | neg) & mask)]
 
     def with_facts(self, facts: Iterable[Literal]) -> "DefaultTheory":
-        return self._variant(frozenset(facts), None)
+        facts = frozenset(facts)
+        return _fill(object.__new__(DefaultTheory), self.defaults, self._rules, facts, (), facts, None, None, None)
 
     def remove_facts(self, removed: Iterable[Literal]) -> "DefaultTheory":
-        removed = frozenset(removed)
-        index = self._index
-        if index is not None:
-            index = dict(index)
-            for l in removed:
-                if index.get(l.letter) == l:  # removing -a leaves a fact a
-                    del index[l.letter]
-        return self._variant(self.facts - removed, index)
-
-    def _variant(self, facts: frozenset[Literal], index: dict[str, Literal] | None) -> "DefaultTheory":
+        """The theory without the facts in ``removed`` (other literals are
+        ignored), at a cost of O(|removed|) mask operations once the facts
+        are known consistent.  Inconsistent facts get a fresh theory."""
+        removed = tuple(removed)
+        if not self.consistent_facts():
+            return self.with_facts(self.facts.difference(removed))
+        pos, neg = self.fact_masks()
+        ids = compiled(self, numbering)
+        for l in removed:
+            if l.letter in ids:  # clearing the bit of a literal that is no fact changes nothing
+                if l.positive:
+                    pos &= ~(1 << ids[l.letter])
+                else:
+                    neg &= ~(1 << ids[l.letter])
+        withdrawn = self._removed + (removed,)
         variant = object.__new__(DefaultTheory)
-        object.__setattr__(variant, "defaults", self.defaults)
-        object.__setattr__(variant, "facts", facts)
-        object.__setattr__(variant, "_rules", self._rules)
-        object.__setattr__(variant, "_index", index)
-        return variant
+        return _fill(variant, self.defaults, self._rules, self._base, withdrawn, None, (pos, neg), self._at, True)
+
+
+_SLOT_SETTERS = [getattr(DefaultTheory, name).__set__ for name in DefaultTheory.__slots__]
+
+
+def _fill(theory: DefaultTheory, *values) -> DefaultTheory:
+    """Set every slot of a new theory, in ``__slots__`` order."""
+    for put, value in zip(_SLOT_SETTERS, values, strict=True):
+        put(theory, value)
+    return theory
 
 
 @dataclass(frozen=True)
@@ -252,7 +324,8 @@ def classify(theory: DefaultTheory) -> Fragment:
     return compiled(theory, _classify_rules)
 
 
-def _classify_rules(defaults: tuple[DefaultRule, ...]) -> Fragment:
+def _classify_rules(theory: DefaultTheory) -> Fragment:
+    defaults = theory.defaults
     normal = all(d.normal for d in defaults)
 
     def unary(d: DefaultRule) -> bool:

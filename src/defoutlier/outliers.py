@@ -24,7 +24,10 @@ The first restricts witness candidates to the facts on one rule component;
 the second confines recognition's candidates to the components downstream
 of L, and enumeration's outlier checks to "cores" on the witness's influence
 cone, padding each passing core with off-cone facts without another
-entailment.  ``DefaultTheory.facts_on`` reads every pool and cone.
+entailment.  Cones, components and the letters of L and S are masks over
+the rule base's letter numbering, so each split is one ``&`` per literal,
+and ``DefaultTheory.facts_on`` reads every pool and cone as one ``&`` with
+the fact masks.
 """
 
 from __future__ import annotations
@@ -39,9 +42,12 @@ from .core import (
     DefaultTheory,
     Literal,
     classify,
+    compiled,
     format_literals,
+    letter_mask,
     lett,
     literal_order,
+    numbering,
 )
 from .depgraph import cone_lookup, downstream_components
 from .errors import InvalidQueryError, ScopeError
@@ -150,10 +156,10 @@ def _check_witness(theory, outlier, witness, strong: bool, backend: str, budget:
         return check.cond1(s) and check.cond2(l, s, s)
     # The split of S by cone (module docstring): asking the literals on L's
     # cone first lets cond1 fail early, and cond2 need ask no other.
-    cone, own = cone_lookup(theory), lett(l)
+    cone, own = cone_lookup(theory), letter_mask(theory, lett(l))
     on, off = [], []
     for x in s:
-        (off if own.isdisjoint(cone(x.letter)) else on).append(x)
+        (on if cone(x.letter) & own else off).append(x)
     if not on or strong and off:
         return False
     return check.cond1(on + off) and check.cond2(l, s, on)
@@ -211,8 +217,8 @@ def recognize_strong(
     check = _Checker(theory, True, backend, budget, "recognize_strong")
     # Downstream of L lie only rule letters and L's own letters, and consistent
     # facts put no fact but L's on those: the rule components hold every pool.
-    own = lett(outlier)
-    pools = (theory.facts_on(comp - own) for comp in downstream_components(theory, own))
+    own = letter_mask(theory, lett(outlier))
+    pools = (theory.facts_on(comp & ~own) for comp in downstream_components(theory, own))
     found: list[LiteralSet] = []
     for s in check.candidates(pools):
         if check.cond1(s) and check.cond2(outlier, s, s):
@@ -238,35 +244,39 @@ def _enumerate(
     # order (strong), or all together (general).  A fact on a letter no rule
     # mentions has no other fact on its cone, and once it is withdrawn no
     # extension holds its negation, so no witness holds it.
-    letters = lett(theory.facts)
-    comps = downstream_components(theory, letters)
-    pools = map(theory.facts_on, comps) if strong else [theory.facts_on(frozenset().union(*comps))]
-    cone = cone_lookup(theory)
+    pos, neg = theory.fact_masks()
+    comps = list(downstream_components(theory, pos | neg))
+    pools = map(theory.facts_on, comps) if strong else [theory.facts_on(sum(comps))]  # disjoint masks
+    cone, ids = cone_lookup(theory), compiled(theory, numbering)
 
     hits: dict[LiteralSet, list[LiteralSet]] = {}
     for s_set in check.candidates(pools, h):
         # Incremental lemma: only facts on the influence cone of S matter, so
         # a candidate with no other fact there yields no outlier and skips cond1.
-        # A strong S lies in one SCC, whose letters share one cone.
-        s_letters = lett(s_set)
-        s_cone = cone(next(iter(s_letters))) if strong else frozenset().union(*map(cone, s_letters))
-        near = theory.facts_on(s_cone - s_letters)
+        cones = [(x, cone(x.letter)) for x in s_set]
+        s_cone = 0
+        for _, c in cones:  # a strong S lies in one SCC, whose letters share one cone
+            s_cone |= c
+        near = theory.facts_on(s_cone & ~letter_mask(theory, lett(s_set)))
         if not near or not check.cond1(s_set):
             continue
-        cones = [(x, cone(x.letter)) for x in s_set]
         far = None
         for core in map(frozenset, _subsets(near, k)):
             check.candidates_examined += 1
             # The split of S by cone (module docstring): every core meets the
             # one cone of a strong S, so cond2 asks all of S; a general cond2
             # asks only the literals whose cone meets the core.
-            on = s_set if strong else [x for x, c in cones if not lett(core).isdisjoint(c)]
+            if strong:
+                on = s_set
+            else:
+                own = letter_mask(theory, lett(core))
+                on = [x for x, c in cones if c & own]
             if not check.cond2(core, s_set, on):
                 continue
             hits.setdefault(core, []).append(s_set)
-            if len(core) < k:  # room for a pad of off-cone facts
+            if len(core) < k:  # room for a pad of off-cone facts, on rule letters or not
                 if far is None:
-                    far = theory.facts_on(letters - s_cone)
+                    far = theory.facts_on(~s_cone) + [x for x in theory.facts if x.letter not in ids]
                 for pad in _subsets(far, k - len(core)):
                     hits.setdefault(core | frozenset(pad), []).append(s_set)
 

@@ -14,9 +14,11 @@ ways.  It never blocks a rule that no leaf below can refute, since every
 such leaf is reached first through applying the rule.  And a query closes
 E under the open rules that no leaf below can refute; every leaf holds
 that closure, so a node whose closure answers the query is dropped as well.
-The search's bitmasks over the rule letters are compiled once per rule
-base; a fact on a letter no rule mentions never meets a rule, so every
-extension carries it unchanged.  The fast backend answers
+The search's bitmasks are compiled once per rule base over its letter
+numbering (``core.numbering``), literal bit i being rule letter i and bit
+i + n its negation, so a theory's fact masks give its facts' mask at once;
+a fact on a letter no rule mentions never meets a rule, so every extension
+carries it unchanged.  The fast backend answers
 skeptical literal queries on normal unary (NU) and dual normal unary (DNU)
 theories in polynomial time by searching for a countermodel extension: it
 grows the set of letters that must be kept non-positive, re-checking
@@ -26,11 +28,13 @@ ancestor cone, the letters with a rule path to it: NU and DNU rules are
 normal and unary, so a predecessor-closed letter set is a splitting set
 (Turner, "Splitting a Default Theory", AAAI 1996) and nothing outside the
 cone changes the answer.  A goal literal whose cone has c letters, with e
-rules mentioning them, costs O(c * e), whatever the size of the theory: its
-fact letters are the cone intersected with the theory's fact index, O(c),
-which that bound covers.  The cone comes from ``depgraph.cone_lookup``,
-looked up once per call, which keeps it once per letter and rule base for
-every layer.  Both backends agree wherever the fast one applies, as the test
+rules mentioning them, costs O(c * e) steps, whatever the size of the
+theory: its letter sets are masks over the numbering, and its facts are one
+``&`` of the theory's fact masks with the cone's mask.  (A step on masks
+over n rule letters touches n/30 machine digits, which stays small next to
+the interpreter's cost per step at the sizes the benchmarks reach.)  The
+cone comes from ``depgraph.cone_lookup``, looked up once per call, which
+keeps it once per letter and rule base for every layer.  Both backends agree wherever the fast one applies, as the test
 suite checks on large seeded random families.
 """
 
@@ -40,8 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import DefaultTheory, Literal, _rule_letters, classify, compiled, is_inconsistent, literal_order
-from .depgraph import cone_lookup, reach
+from .core import DefaultTheory, Literal, bits, classify, compiled, is_inconsistent, literal_order, numbering
+from .depgraph import cone_lookup, walk
 from .errors import BudgetExceededError, ScopeError
 
 EXHAUSTIVE = "exhaustive"
@@ -77,24 +81,24 @@ class SignatureSet:
 
 
 class _MaskIndex:
-    """Bitmask form of a rule base over its rule letters: literal 2*i is
-    letter i, 2*i+1 its negation, and bit ``absent`` no extension holds."""
+    """Bitmask form of a rule base over its letter ``numbering``: literal bit
+    i is rule letter i and bit i + n its negation, so a theory's fact masks
+    ``pos`` and ``neg`` give its facts' mask ``pos | neg << n``.  Bit
+    ``absent`` (2n) is one that no extension holds."""
 
-    def __init__(self, defaults: Sequence):
-        self.lit_id: dict[Literal, int] = {}
-        for i, x in enumerate(sorted(_rule_letters(defaults))):
-            self.lit_id[Literal(x, True)] = 2 * i
-            self.lit_id[Literal(x, False)] = 2 * i + 1
-        lit_id = self.lit_id
-        self.absent = len(lit_id)
+    def __init__(self, theory: DefaultTheory):
+        defaults = theory.defaults
+        ids = compiled(theory, numbering)
+        n = self.n = len(ids)
+        lit_id = self.lit_id = {Literal(x, p): i if p else i + n for x, i in ids.items() for p in (True, False)}
+        self.absent = 2 * n
         self.pre = [sum(1 << lit_id[l] for l in d.prerequisite) for d in defaults]
         self.concl = [sum(1 << lit_id[l] for l in d.consequent) for d in defaults]
         # Mask of the negations of the justification literals: a rule is
         # refuted by E exactly when this intersects E.
-        self.neg_just = [sum(1 << (lit_id[l] ^ 1) for l in d.justification) for d in defaults]
+        self.neg_just = [sum(1 << lit_id[l.negate()] for l in d.justification) for d in defaults]
         # Rules whose justification contradicts itself can never fire.
         self.rules = tuple(i for i, d in enumerate(defaults) if not is_inconsistent(d.justification))
-        self.positive_bits = sum(1 << bit for bit in range(0, self.absent, 2))
 
     def close(self, m: int, rules: Sequence[int]) -> int:
         """The closure of the literal mask ``m`` under the given rules."""
@@ -140,7 +144,7 @@ def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int, skip: int):
     holds ``skip`` is dropped like one whose E does.  ``forced`` lies inside
     ``upper``, so it is computed only when ``upper`` holds ``skip``.
     """
-    pre, concl, neg_just, positive = idx.pre, idx.concl, idx.neg_just, idx.positive_bits
+    pre, concl, neg_just, n = idx.pre, idx.concl, idx.neg_just, idx.n
     seen: set[int] = set()
     nodes = 0
     # Stack entries: (E, blocked-rules mask, applied indices, their neg_just
@@ -151,7 +155,7 @@ def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int, skip: int):
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(budget)
-        if refuters & e or e >> 1 & e & positive or skip and e & skip == skip:
+        if refuters & e or e >> n & e or skip and e & skip == skip:
             continue
         act = None
         open_: list[int] = []
@@ -192,10 +196,15 @@ def _search(theory: DefaultTheory, goal: Iterable[Literal]):
     leaves them out; a goal literal that is a fact is in every extension and
     needs no bit, and one neither a fact nor on a rule letter gets ``absent``."""
     idx = compiled(theory, _MaskIndex)
-    lit_id = idx.lit_id
-    w_mask = sum(1 << lit_id[l] for l in theory.facts & lit_id.keys())
-    need = sum({1 << lit_id.get(l, idx.absent) for l in goal if l not in theory.facts})
-    return idx, w_mask, need
+    pos, neg = theory.fact_masks()
+    w_mask = pos | neg << idx.n
+    need = 0
+    for l in goal:
+        if l in idx.lit_id:
+            need |= 1 << idx.lit_id[l]
+        elif l not in theory.facts:
+            need |= 1 << idx.absent
+    return idx, w_mask, need & ~w_mask
 
 
 def extensions(theory: DefaultTheory, budget: int = DEFAULT_BUDGET) -> tuple[SignatureSet, ...]:
@@ -221,7 +230,7 @@ def brave_member(theory: DefaultTheory, literal: Literal, budget: int = DEFAULT_
     if need >> idx.absent:
         return False
     # A consistent leaf holding the literal's negation misses the literal.
-    skip = need and 1 << ((need.bit_length() - 1) ^ 1)
+    skip = need and 1 << idx.lit_id[literal.negate()]
     return any(e & need == need for e, _ in _iter_masks(idx, w_mask, budget, skip))
 
 
@@ -236,10 +245,10 @@ def is_extension(theory: DefaultTheory, candidate: frozenset[Literal]) -> bool:
     Holds iff the candidate is consistent and holds the facts, every
     default is satisfied (its prerequisite is absent, or its consequent is
     present or contradicted), and every member literal that is not a fact
-    ends a rule chain inside the candidate: one ``depgraph.reach`` walk from
-    the rules that are prerequisite-free or grounded in a fact.  Every rule
-    such a chain meets is applicable, hence satisfied, so the walk never
-    needs a literal outside the candidate.
+    ends a rule chain inside the candidate: one ``depgraph.walk`` over the
+    search's literal bits from the rules that are prerequisite-free or
+    grounded in a fact.  Every rule such a chain meets is applicable, hence
+    satisfied, so the walk never needs a literal outside the candidate.
     """
     if not classify(theory).is_nmu:
         raise ScopeError("is_extension requires a normal mixed unary theory")
@@ -248,14 +257,22 @@ def is_extension(theory: DefaultTheory, candidate: frozenset[Literal]) -> bool:
     candidate = frozenset(candidate)
     if not theory.facts <= candidate or is_inconsistent(candidate):
         return False
-    chained: dict[Literal | None, list[Literal]] = {}
-    for d in theory.defaults:
-        (p,) = d.prerequisite or (None,)
-        (c,) = d.consequent
-        if (p is None or p in candidate) and c not in candidate and c.negate() not in candidate:
+    idx, w_mask, _ = _search(theory, ())
+    held = 0
+    for l in candidate:
+        if l in idx.lit_id:
+            held |= 1 << idx.lit_id[l]
+        elif l not in theory.facts:
+            return False  # no rule concludes a literal off the rule letters
+    grounded, chained = 0, [0] * idx.absent
+    for pre, concl, neg_concl in zip(idx.pre, idx.concl, idx.neg_just):
+        if not pre & ~held and not (concl | neg_concl) & held:
             return False
-        chained.setdefault(None if p in theory.facts else p, []).append(c)
-    return candidate <= theory.facts | reach(chained, (None,), candidate, ())
+        if pre & ~w_mask:
+            chained[pre.bit_length() - 1] |= concl
+        else:
+            grounded |= concl
+    return not held & ~w_mask & ~walk(chained, grounded & held, held)
 
 
 # ---------------------------------------------------------------------------
@@ -276,103 +293,111 @@ class _NuEntailer:
     against the shrinking positive-reachability fixpoint decides
     feasibility exactly.  Every query runs inside the goal letter's
     ancestor cone, which the rule base's dependency graph keeps, and the
-    fixpoint is one ``depgraph.reach`` walk, the routine behind the cones.
-    The entailer holds no per-query state and never changes once built.
+    fixpoint is one ``depgraph.walk``, the routine behind the cones.  Letter
+    sets are masks over the rule base's ``numbering``; per letter, the
+    entailer files its rules' triggers and children as masks too.  It holds
+    no per-query state and never changes once built.
     """
 
-    def __init__(self, defaults: Sequence):
-        self.nu = all(p.positive for d in defaults for p in d.prerequisite)
-        self.pos_triggers: dict[str, list[str | None]] = {}
-        self.neg_triggers: dict[str, list[str | None]] = {}
-        self.pos_children: dict[str, list[str]] = {}
-        self.top_pos: set[str] = set()
-        for d in defaults:
+    def __init__(self, theory: DefaultTheory):
+        ids = compiled(theory, numbering)
+        self.nu = all(p.positive for d in theory.defaults for p in d.prerequisite)
+        self.supports = [0] * len(ids)  # triggers of the positive rules concluding a letter
+        self.attackers = [0] * len(ids)  # triggers of the rules concluding its negation
+        self.children = [0] * len(ids)  # letters the positive rules a letter triggers conclude
+        self.top = 0  # letters a prerequisite-free rule concludes positively
+        self.top_attacked = 0  # letters a prerequisite-free rule concludes negatively
+        self.attacked = 0  # letters some rule concludes negatively
+        for d in theory.defaults:
             (c,) = d.consequent
-            trig: str | None = None
-            if d.prerequisite:
-                (p,) = d.prerequisite
-                trig = p.letter
+            x = ids[c.letter]
             if c.positive == self.nu:
-                self.pos_triggers.setdefault(c.letter, []).append(trig)
-                if trig is None:
-                    self.top_pos.add(c.letter)
-                else:
-                    self.pos_children.setdefault(trig, []).append(c.letter)
+                if not d.prerequisite:
+                    self.top |= 1 << x
+                for p in d.prerequisite:
+                    self.supports[x] |= 1 << ids[p.letter]
+                    self.children[ids[p.letter]] |= 1 << x
             else:
-                self.neg_triggers.setdefault(c.letter, []).append(trig)
+                self.attacked |= 1 << x
+                if not d.prerequisite:
+                    self.top_attacked |= 1 << x
+                for p in d.prerequisite:
+                    self.attackers[x] |= 1 << ids[p.letter]
 
-    def _reach(self, cone: frozenset[str], wpos: set[str], wneg: set[str], avoid: set[str]) -> set[str]:
+    def _reach(self, cone: int, wpos: int, wneg: int, avoid: int) -> int:
         """Cone letters that can be made positive while every letter in
         ``avoid`` stays non-positive (facts are immovable; callers exclude
         them)."""
-        blocked = wneg | avoid
-        return reach(self.pos_children, wpos | (self.top_pos & cone) - blocked, cone, blocked)
+        allowed = cone & ~(wneg | avoid)
+        return walk(self.children, wpos | self.top & allowed, allowed)
 
-    def _can_all_be_nonpositive(
-        self, cone: frozenset[str], wpos: set[str], wneg: set[str], targets: Iterable[str]
-    ) -> bool:
-        kept = set(targets)
+    def _can_all_be_nonpositive(self, cone: int, wpos: int, wneg: int, targets: int) -> bool:
+        kept = targets
         if kept & wpos:
             return False
         # Reach only shrinks as ``kept`` grows, so a letter with no live
         # attacker under a round's reach has none later either: each round
-        # closes the forced starvation with a worklist, and the next round
+        # closes the forced starvation layer by layer, and the next round
         # rechecks every kept letter against the smaller reach.
+        defended = wneg | self.top_attacked
         grew = True
         while grew:
             reach = self._reach(cone, wpos, wneg, kept)
             grew = False
-            todo = list(kept)
+            todo = kept
             while todo:
-                x = todo.pop()
-                if x in wneg or any(t is None or t in reach for t in self.neg_triggers.get(x, ())):
-                    continue
-                for t in self.pos_triggers.get(x, ()):
-                    if t is None or t in wpos:
-                        return False
-                    if t not in kept:
-                        kept.add(t)
-                        todo.append(t)
-                        grew = True
+                starved = 0  # triggers of the supports of the undefended letters
+                for x in bits(todo & ~defended):
+                    if not self.attackers[x] & reach:
+                        if self.top >> x & 1:
+                            return False
+                        starved |= self.supports[x]
+                if starved & wpos:
+                    return False
+                todo = starved & ~kept
+                kept |= todo
+                grew = grew or bool(todo)
         return True
 
-    def skeptical(self, cone: frozenset[str], wpos: set[str], wneg: set[str], x: str, positive: bool) -> bool:
-        """Whether every extension holds the literal (``x``, ``positive``);
-        ``cone`` is the cone of ``x`` and the fact letters lie inside it."""
+    def skeptical(self, cone: int, wpos: int, wneg: int, x: int, positive: bool) -> bool:
+        """Whether every extension holds the literal (letter ``x``, ``positive``);
+        ``cone`` is the cone of ``x`` and the fact masks lie inside it."""
+        bit = 1 << x
         if positive:
-            if x in wpos:
+            if wpos & bit:
                 return True
-            if x in wneg:
+            if wneg & bit:
                 return False
-            return not self._can_all_be_nonpositive(cone, wpos, wneg, {x})
-        if x in wneg:
+            return not self._can_all_be_nonpositive(cone, wpos, wneg, bit)
+        if wneg & bit:
             return True
-        if x in wpos:
+        if wpos & bit or not self.attacked & bit:
             return False
-        if x not in self.neg_triggers:
-            return False
-        if x in self._reach(cone, wpos, wneg, set()):
+        if self._reach(cone, wpos, wneg, 0) & bit:
             return False
         # x can never be positive; its negation is everywhere unless every
         # rule concluding -x can be starved, leaving x undecided.
-        triggers = self.neg_triggers[x]
-        return None in triggers or not self._can_all_be_nonpositive(cone, wpos, wneg, triggers)
+        if self.top_attacked & bit:
+            return True
+        return not self._can_all_be_nonpositive(cone, wpos, wneg, self.attackers[x])
 
 
 def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal]) -> bool:
-    index = theory.fact_index()
-    if index is None:
+    if not theory.consistent_facts():
         return True  # inconsistent facts entail everything, on the cone or off it
     # A DNU rule base is filed with its polarity swapped: a fact is positive
     # there iff its polarity equals ``nu``, and the goal is negated.
-    ent = compiled(theory, _NuEntailer)
-    cone_of = cone_lookup(theory)
+    ent, ids, cone_of = compiled(theory, _NuEntailer), compiled(theory, numbering), cone_lookup(theory)
+    pos, neg = theory.fact_masks()
+    if not ent.nu:
+        pos, neg = neg, pos
     for q in goal:
+        if q.letter not in ids:  # no rule reaches it: entailed iff a fact
+            if q not in theory.facts:
+                return False
+            continue
         cone = cone_of(q.letter)
-        pos, neg = set(), set()
-        for x in index.keys() & cone:
-            (pos if index[x].positive == ent.nu else neg).add(x)
-        if not ent.skeptical(cone, pos, neg, q.letter, q.positive == ent.nu):
+        if not ent.skeptical(cone, pos & cone, neg & cone, ids[q.letter], q.positive == ent.nu):
             return False
     return True
 

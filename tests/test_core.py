@@ -1,10 +1,14 @@
+import copy
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defoutlier import (
+    EXHAUSTIVE,
+    FAST,
     DefaultRule,
     DefaultTheory,
     Literal,
@@ -312,6 +316,9 @@ def test_rule_base_takes_no_part_in_equality(cellphone):
         assert hash(other) == hash(cellphone)
         assert repr(other) == repr(cellphone)
     assert cellphone.remove_facts(lits("CellUse")) != fresh
+    variant = cellphone.remove_facts(lits("CellUse"))
+    for copied in (copy.copy(variant), copy.deepcopy(variant), pickle.loads(pickle.dumps(variant))):
+        assert copied == variant and copied._rules is not cellphone._rules
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +341,10 @@ def test_remove_facts_keeps_a_known_consistent_mark(cellphone, monkeypatch):
 def test_with_facts_never_inherits_the_mark(cellphone):
     assert cellphone.consistent_facts()
     bad = cellphone.with_facts(cellphone.facts | lits("z", "-z"))
-    assert bad._index is None
+    assert bad._consistent is None
     assert not bad.consistent_facts()
     off_cone = bad.remove_facts(lits("CellUse"))
-    assert off_cone._index is None
+    assert off_cone._consistent is None
     assert not off_cone.consistent_facts()
     assert bad.remove_facts(lits("-z")).consistent_facts()
     assert bad == cellphone.with_facts(cellphone.facts | lits("-z", "z"))
@@ -360,18 +367,22 @@ FACT_INDEX_RULES = [normal_rule("a", "b"), normal_rule("", "-c")]
     ],
 )
 def test_fact_index_of_a_variant_matches_a_fresh_theory(facts, removed, index):
+    # ``index`` maps each fact letter to its fact, or is None for inconsistent
+    # facts; the fact masks and ``facts_on`` must read the same facts.
     parent = DefaultTheory(FACT_INDEX_RULES, lits(*facts))
-    before = parent.fact_index()  # built, or None for inconsistent facts
+    before = parent.fact_masks()
     variant = parent.remove_facts(lits(*removed))
     rebuilt = parent.with_facts(variant.facts)
-    if before is not None:  # remove_facts hands on a copy of a built index
-        assert variant._index is not None and variant._index is not before
-    assert parent.fact_index() == before
-    assert rebuilt._index is None  # with_facts never inherits an index
+    # remove_facts hands masks on from consistent facts; inconsistent ones decide again
+    assert (variant._masks is not None) == parent.consistent_facts()
+    assert parent.fact_masks() == before
+    assert rebuilt._masks is None and rebuilt._consistent is None  # with_facts inherits neither
     fresh = DefaultTheory(FACT_INDEX_RULES, variant.facts)
     for t in (variant, rebuilt):
-        assert t.fact_index() == fresh.fact_index() == index
+        assert t.fact_masks() == fresh.fact_masks()
         assert t.consistent_facts() == fresh.consistent_facts() == (index is not None)
+        if index is not None:
+            assert t.facts_on(-1) == fresh.facts_on(-1) == sorted(index.values(), key=core.literal_order)
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,13 +391,27 @@ def test_fact_index_of_a_variant_matches_a_fresh_theory(facts, removed, index):
     st.lists(st.builds(Literal, st.sampled_from("abcdef"), st.booleans()), max_size=4),
     st.lists(st.builds(Literal, st.sampled_from("abcdef"), st.booleans()), max_size=4),
 )
+@example(lits("a", "d"), lits("c"), lits("d"))  # d is a fact on a letter no rule mentions
+@example(lits("a", "-b"), lits("f", "-f"), lits("a"))  # f is on no fact and no rule
+@example(lits("a", "-c", "e"), lits("-a"), lits("e", "-c"))  # removing -a leaves the fact a
 def test_fact_index_survives_chains_of_removals(facts, first, second):
-    t = DefaultTheory(FACT_INDEX_RULES, facts)
-    t.consistent_facts()
-    for variant in (t.remove_facts(first), t.remove_facts(first).remove_facts(second)):
-        fresh = DefaultTheory(FACT_INDEX_RULES, variant.facts)
-        assert variant.fact_index() == fresh.fact_index()
-        assert variant.consistent_facts() == fresh.consistent_facts() == (not is_inconsistent(variant.facts))
+    # After one and after two withdrawals, on the NU rules and on their DNU
+    # dual, a variant reads like a fresh theory with its facts.
+    letters = [Literal(x, p) for x in "abcdef" for p in (True, False)]
+    for rules in (FACT_INDEX_RULES, dualize(DefaultTheory(FACT_INDEX_RULES, ())).defaults):
+        t = DefaultTheory(rules, facts)
+        t.consistent_facts()
+        once = t.remove_facts(first)
+        for variant, withdrawn in ((once, set(first)), (once.remove_facts(second), set(first) | set(second))):
+            fresh = DefaultTheory(rules, t.facts - withdrawn)
+            assert variant.facts == fresh.facts
+            assert variant == fresh and hash(variant) == hash(fresh) and repr(variant) == repr(fresh)
+            assert variant.consistent_facts() == fresh.consistent_facts() == (not is_inconsistent(variant.facts))
+            assert variant.fact_masks() == fresh.fact_masks()
+            if variant.consistent_facts():
+                assert variant.facts_on(-1) == fresh.facts_on(-1)
+            for q in letters:
+                assert entails(variant, [q], FAST) == entails(variant, [q], EXHAUSTIVE) == entails(fresh, [q]), q
 
 
 @settings(max_examples=200, deadline=None)
@@ -396,16 +421,17 @@ def test_fact_index_survives_chains_of_removals(facts, first, second):
     st.lists(st.builds(Literal, st.sampled_from("abcde"), st.booleans()), max_size=3),
 )
 def test_facts_on_lists_the_facts_on_the_letters_in_literal_order(polarity, letters, removed):
+    # Only the rule letters a, b and c have bits; d and e are facts off the rules.
     t = DefaultTheory(FACT_INDEX_RULES, [Literal(x, p) for x, p in polarity.items()])
     for variant in (t, t.remove_facts(removed)):
-        want = sorted((l for l in variant.facts if l.letter in letters), key=core.literal_order)
-        assert variant.facts_on(letters) == want
+        want = sorted((l for l in variant.facts if l.letter in letters & set("abc")), key=core.literal_order)
+        assert variant.facts_on(core.letter_mask(variant, letters)) == want
 
 
 def test_facts_on_returns_the_theorys_own_facts():
     facts = lits("a", "-b", "z")
     t = DefaultTheory(FACT_INDEX_RULES, facts)
     for variant in (t, t.remove_facts(lits("a")), t.remove_facts(lits("-a")).remove_facts(lits("z"))):
-        got = variant.facts_on(frozenset("abz"))
-        assert got == sorted(variant.facts, key=core.literal_order)
+        got = variant.facts_on(-1)
+        assert got == sorted(variant.facts - lits("z"), key=core.literal_order)  # z has no bit
         assert all(any(x is f for f in facts) for x in got)

@@ -38,6 +38,7 @@ from defoutlier import (
     theory_to_text,
     tightness,
 )
+from defoutlier.core import letter_mask
 from conftest import ExhaustiveOracle, brute_force_outliers, nonempty_subsets, nu_theories
 
 S4 = lits("-MfC", "NewLocation", "QuietTime", "MultipleIPs")
@@ -367,7 +368,9 @@ def cone_pairs(draw, max_witness):
     t = draw(st.sampled_from(draw(observed_nu_theories())))
 
     def near(s):
-        cone = frozenset().union(*map(depgraph.cone_lookup(t), lett(s)))
+        cone = 0
+        for x in lett(s):
+            cone |= depgraph.cone_lookup(t)(x)
         return [x for x in t.facts_on(cone) if x not in s]
 
     facts = sorted(t.facts, key=str)
@@ -511,7 +514,7 @@ def _answers(theory):
 
 
 def _cones(theory):
-    """The rule base's cone cache: rule letter -> its ancestor cone."""
+    """The rule base's cone cache: rule letter -> the mask of its ancestor cone."""
     return theory._rules[depgraph._compile].cones
 
 
@@ -535,7 +538,9 @@ def test_concurrent_queries_match_sequential():
     finally:
         sys.setswitchinterval(interval)
     assert results == sequential + sequential[::-1]
-    assert [t._index for t in theories] == [t.fact_index() for t in compiled_alone]
+    masks = [(t._masks, t._at) for t in theories]
+    assert masks == [(t._masks, t._at) for t in compiled_alone]
+    assert all(m and at for m, at in masks)
     cones = [_cones(t) for t in theories]
     assert cones == [_cones(t) for t in compiled_alone]
     assert all(cones)
@@ -545,13 +550,12 @@ def test_each_cone_is_walked_once_across_layers(monkeypatch):
     theory = random_theory("NU", 60, 80, 1, 808)
     facts = _sorted_facts(theory)
     starts = []
-    reach = depgraph.reach
+    walk = depgraph.walk
 
-    def counting_reach(adjacency, sources, *rest):
-        sources = list(sources)
+    def counting_walk(adjacency, sources, allowed):
         if adjacency is theory._rules[depgraph._compile].pred:  # cone walks only
-            starts.extend(sources)
-        return reach(adjacency, sources, *rest)
+            starts.append(sources)
+        return walk(adjacency, sources, allowed)
 
     def one_pass():
         enumerate_strong(theory, 1)
@@ -561,14 +565,13 @@ def test_each_cone_is_walked_once_across_layers(monkeypatch):
             entails(theory, [Literal(x, True)])
             entails(theory, [Literal(x, False)])
 
-    monkeypatch.setattr(depgraph, "reach", counting_reach)
+    monkeypatch.setattr(depgraph, "walk", counting_walk)
     one_pass()
-    pred = theory._rules[depgraph._compile].pred
-    first = [x for x in starts if x in pred]
-    assert first and len(first) == len(set(first))
+    assert starts and len(starts) == len(set(starts))
+    assert all(start.bit_count() == 1 for start in starts)  # one walk per letter's cone
     del starts[:]
     one_pass()
-    assert [x for x in starts if x in pred] == []
+    assert starts == []
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +631,7 @@ def test_off_cone_rule_matches_the_oracle_on_unary_theories():
             facts, cone = sorted(t.facts, key=str)[:5], depgraph.cone_lookup(t)
             for l in map(frozenset, nonempty_subsets(facts, 2)):
                 for s in map(frozenset, nonempty_subsets([x for x in facts if x not in l], 3)):
-                    mixed = len({lett(l).isdisjoint(cone(x.letter)) for x in s}) == 2
+                    mixed = len({not cone(x.letter) & letter_mask(t, lett(l)) for x in s}) == 2
                     for strong, check in ((False, is_witness), (True, is_strong_witness)):
                         want = oracle.is_witness(l, s, strong)
                         for backend in backends:
@@ -682,7 +685,7 @@ def test_enumeration_splits_s_by_the_core_cone(monkeypatch):
             enumerate_strong(t, 2, FAST)
             enumerate_general(t, 2, 2, FAST)
             for strong, l, s, on in seen:
-                meets = [x for x in s if not lett(l).isdisjoint(cone(x.letter))]
+                meets = [x for x in s if cone(x.letter) & letter_mask(t, lett(l))]
                 assert sorted(on, key=str) == sorted(meets, key=str)
                 off[strong] += len(meets) < len(s)
     assert off == {True: 0, False: off[False]} and off[False]
@@ -692,13 +695,13 @@ def test_off_cone_rule_needs_unary_normal_rules():
     # Not normal: the justification -d is no graph edge, so {a} is off the
     # cone of {c} and still makes {c} a witness.
     t = parse_theory("fact a. fact c. fact d. default : -d / d. default a : d / -a.")
-    assert "a" not in depgraph.cone_lookup(t)("c")
+    assert not depgraph.cone_lookup(t)("c") & letter_mask(t, ["a"])
     assert is_witness(t, lits("a"), lits("c"))
     # Normal, but one rule concludes two letters: withdrawing {b} unblocks
     # the rival of the rule that concludes -s.
     t = parse_theory("fact b. fact s. default : s & -b / s & -b. default : -s / -s.")
     assert classify(t).normal and not classify(t).is_nmu
-    assert "b" not in depgraph.cone_lookup(t)("s")
+    assert not depgraph.cone_lookup(t)("s") & letter_mask(t, ["b"])
     assert is_witness(t, lits("b"), lits("s"))
     assert is_strong_witness(t, lits("b"), lits("s"))
 
