@@ -288,9 +288,18 @@ class DefaultTheory:
                     pos &= ~(1 << ids[l.letter])
                 else:
                     neg &= ~(1 << ids[l.letter])
-        withdrawn = self._removed + (removed,)
+        # Each slot is set directly, not through ``_fill``: a witness check runs this twice.
         variant = object.__new__(DefaultTheory)
-        return _fill(variant, self.defaults, self._rules, self._base, withdrawn, None, (pos, neg), self._at, True)
+        defaults, rules, base, withdrawn, facts, masks, at, consistent = _SLOT_SETTERS
+        defaults(variant, self.defaults)
+        rules(variant, self._rules)
+        base(variant, self._base)
+        withdrawn(variant, self._removed + (removed,))
+        facts(variant, None)
+        masks(variant, (pos, neg))
+        at(variant, self._at)
+        consistent(variant, True)
+        return variant
 
 
 _SLOT_SETTERS = [getattr(DefaultTheory, name).__set__ for name in DefaultTheory.__slots__]

@@ -33,8 +33,6 @@ the fact masks.
 from __future__ import annotations
 
 import itertools
-import json
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -52,8 +50,6 @@ from .core import (
 from .depgraph import cone_lookup, downstream_components
 from .errors import InvalidQueryError, ScopeError
 from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
-
-logger = logging.getLogger(__name__)
 
 LiteralSet = frozenset[Literal]
 
@@ -100,7 +96,9 @@ class _Checker:
                 what = op or "a witness check"
                 raise ScopeError(f"{what} with the fast backend requires an NU or DNU theory")
             if op is not None:
-                logger.warning(
+                import logging  # imported on use, to keep the module cheap to load
+
+                logging.getLogger(__name__).warning(
                     "%s on a mixed unary theory uses exhaustive entailment; "
                     "expect exponential cost",
                     op,
@@ -147,9 +145,10 @@ def _check_witness(theory, outlier, witness, strong: bool, backend: str, budget:
         raise InvalidQueryError("outlier candidate must be nonempty")
     if not s:
         raise InvalidQueryError("witness candidate must be nonempty")
-    if l & s:
+    if not l.isdisjoint(s):
         raise InvalidQueryError("outlier and witness candidates must be disjoint")
-    if not (l | s) <= theory.facts:
+    facts = theory.facts
+    if not (l <= facts and s <= facts):
         raise InvalidQueryError("outlier and witness candidates must be subsets of the facts")
     check = _Checker(theory, strong, backend, budget)
     if not check.fragment.is_nmu:
@@ -349,6 +348,8 @@ def format_report_lines(report: OutlierReport, all_witnesses: bool = True) -> li
 
 def format_report_record(report: OutlierReport) -> str:
     """One machine-readable JSON record per (outlier, witness-list)."""
+    import json  # imported on use, to keep the module cheap to load
+
     record = {
         "outlier": [str(l) for l in sorted(report.outlier, key=literal_order)],
         "witnesses": [[str(l) for l in sorted(w, key=literal_order)] for w in report.witnesses],

@@ -33,9 +33,10 @@ theory: its letter sets are masks over the numbering, and its facts are one
 ``&`` of the theory's fact masks with the cone's mask.  (A step on masks
 over n rule letters touches n/30 machine digits, which stays small next to
 the interpreter's cost per step at the sizes the benchmarks reach.)  The
-cone comes from ``depgraph.cone_lookup``, looked up once per call, which
-keeps it once per letter and rule base for every layer.  Both backends agree wherever the fast one applies, as the test
-suite checks on large seeded random families.
+cone comes from ``depgraph.cone_lookup``, which the entailer keeps and
+which keeps each cone once per letter and rule base for every layer.  Both
+backends agree wherever the fast one applies, as the test suite checks on
+large seeded random families.
 """
 
 from __future__ import annotations
@@ -295,12 +296,15 @@ class _NuEntailer:
     ancestor cone, which the rule base's dependency graph keeps, and the
     fixpoint is one ``depgraph.walk``, the routine behind the cones.  Letter
     sets are masks over the rule base's ``numbering``; per letter, the
-    entailer files its rules' triggers and children as masks too.  It holds
-    no per-query state and never changes once built.
+    entailer files its rules' triggers and children as masks too, and it
+    keeps the numbering and the cone lookup, so a query makes one
+    ``compiled`` lookup.  It holds no per-query state and never changes
+    once built.
     """
 
     def __init__(self, theory: DefaultTheory):
-        ids = compiled(theory, numbering)
+        ids = self.ids = compiled(theory, numbering)
+        self.cone = cone_lookup(theory)
         self.nu = all(p.positive for d in theory.defaults for p in d.prerequisite)
         self.supports = [0] * len(ids)  # triggers of the positive rules concluding a letter
         self.attackers = [0] * len(ids)  # triggers of the rules concluding its negation
@@ -387,7 +391,8 @@ def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal]) -> bool:
         return True  # inconsistent facts entail everything, on the cone or off it
     # A DNU rule base is filed with its polarity swapped: a fact is positive
     # there iff its polarity equals ``nu``, and the goal is negated.
-    ent, ids, cone_of = compiled(theory, _NuEntailer), compiled(theory, numbering), cone_lookup(theory)
+    ent = compiled(theory, _NuEntailer)
+    ids, cone_of = ent.ids, ent.cone
     pos, neg = theory.fact_masks()
     if not ent.nu:
         pos, neg = neg, pos

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from defoutlier import cli, oracles
 from defoutlier.cli import main
 from conftest import CELLPHONE, CREDIT_CARD
 
@@ -186,6 +188,13 @@ def test_reduce_entails_pipeline(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(out))
     code, out2, _ = run(capsys, "entails", "--goal", "_l", "-")
     assert (code, out2) == (1, "not entailed\n")
+
+
+def test_reduce_construction_choices_are_the_builders():
+    parser = cli._build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (construction,) = [a for a in verbs.choices["reduce"]._actions if a.dest == "construction"]
+    assert construction.choices == sorted(oracles.BUILDERS)
 
 
 def test_random_deterministic(capsys):
