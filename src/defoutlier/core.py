@@ -12,6 +12,12 @@ conjunctions of literals.  The text format is line-oriented::
 prerequisite may be omitted entirely ("default : b / b.").  One regex scanner
 tokenizes the format; a letter is ``[A-Za-z_][A-Za-z0-9_]*``.
 
+Literals, rules and theories are immutable slotted classes, not dataclasses,
+so that importing the module loads neither ``dataclasses`` nor ``inspect``.
+A literal keeps its hash from construction and its negation from the first
+``negate()``, since every witness check hashes and negates literals; the
+negation keeps no link back, so literals never form a reference cycle.
+
 Every fact-set variant of a theory shares one rule base, where each item
 compiled from the rules (see ``compiled``) is kept once.  The first is the
 letter ``numbering``: the sorted rule letters, rule letter i being bit i of
@@ -23,10 +29,11 @@ only when something reads it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import ParseError, ReservedLetterError
 
@@ -39,25 +46,94 @@ LETTER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A signed atom: a letter with a polarity."""
+class _Immutable:
+    """Base of the slotted value types.  Assigning or deleting an attribute
+    raises.  Equality, hashing, ``repr``, ``pickle`` and ``copy`` are those of
+    the fields that ``__match_args__`` names, so that nothing a subclass
+    keeps beside them (a hash, a negation, a lazily filled mark) takes part."""
 
+    __slots__ = ()
+    __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = operator.attrgetter(*cls.__match_args__)  # the tuple of the fields
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields(self)))
+        return f"{type(self).__name__}({fields})"
+
+
+@functools.total_ordering
+class Literal(_Immutable):
+    """A signed atom: a letter with a polarity.
+
+    Equality, hashing and ordering are those of ``(letter, positive)``.  The
+    hash is computed once, at construction, and the negation on the first
+    ``negate()``; neither takes part in equality, ``repr`` or ``pickle``.
+    """
+
+    __slots__ = ("letter", "positive", "_hash", "_negation")
+    __match_args__ = ("letter", "positive")
     letter: str
-    positive: bool = True
+    positive: bool
 
-    def __post_init__(self):
-        if not self.letter:
+    def __init__(self, letter: str, positive: bool = True):
+        if not letter:
             raise ValueError("literal letter must be nonempty")
+        _set_letter(self, letter)
+        _set_positive(self, positive)
+        _set_hash(self, hash((letter, positive)))
+        _set_negation(self, None)
 
-    def negate(self) -> "Literal":
-        return Literal(self.letter, not self.positive)
+    def negate(self) -> Literal:
+        """The literal of the other polarity: built on the first call, then
+        the same object.  It keeps no link back, so that no two literals
+        hold each other and reference counting alone frees them."""
+        negation = self._negation
+        if negation is None:
+            negation = Literal(self.letter, not self.positive)
+            _set_negation(self, negation)
+        return negation
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:  # the base's, written out: every set lookup of a literal runs it
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letter == other.letter and self.positive == other.positive
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letter, self.positive) < (other.letter, other.positive)
 
     def __str__(self) -> str:
         return self.letter if self.positive else "-" + self.letter
 
     def __repr__(self) -> str:
         return f"Literal({str(self)!r})"
+
+
+# Literal's slot setters: ``__init__`` and ``negate`` set slots past ``_Immutable.__setattr__``.
+_set_letter, _set_positive, _set_hash, _set_negation = (getattr(Literal, x).__set__ for x in Literal.__slots__)
 
 
 def lit(text: str) -> Literal:
@@ -100,8 +176,7 @@ def format_literals(literals: Iterable[Literal]) -> str:
     return "{" + ", ".join(str(l) for l in ordered) + "}"
 
 
-@dataclass(frozen=True)
-class DefaultRule:
+class DefaultRule(_Immutable):
     """A disjunction-free default: prerequisite : justification / consequent.
 
     All three parts are literal conjunctions; the justification and the
@@ -109,15 +184,22 @@ class DefaultRule:
     equals its consequent.
     """
 
+    __slots__ = __match_args__ = ("prerequisite", "justification", "consequent")
     prerequisite: frozenset[Literal]
     justification: frozenset[Literal]
     consequent: frozenset[Literal]
 
-    def __post_init__(self):
-        if not self.justification:
+    def __init__(
+        self, prerequisite: frozenset[Literal], justification: frozenset[Literal], consequent: frozenset[Literal]
+    ):
+        if not justification:
             raise ValueError("rule justification must be nonempty")
-        if not self.consequent:
+        if not consequent:
             raise ValueError("rule consequent must be nonempty")
+        put = object.__setattr__
+        put(self, "prerequisite", prerequisite)
+        put(self, "justification", justification)
+        put(self, "consequent", consequent)
 
     @property
     def normal(self) -> bool:
@@ -194,7 +276,7 @@ def letter_mask(theory: "DefaultTheory", letters: Iterable[str]) -> int:
     return mask
 
 
-class DefaultTheory:
+class DefaultTheory(_Immutable):
     """A finite default theory (D, W) over literal conjunctions.
 
     Rules are kept in order but deduplicated (set semantics); facts are a
@@ -208,25 +290,12 @@ class DefaultTheory:
     """
 
     __slots__ = ("defaults", "_rules", "_base", "_removed", "_facts", "_masks", "_at", "_consistent")
+    __match_args__ = ("defaults", "facts")  # pickle and copy rebuild from the rules and facts
     defaults: tuple[DefaultRule, ...]
 
     def __init__(self, defaults: Iterable[DefaultRule], facts: Iterable[Literal]):
         facts = frozenset(facts)
         _fill(self, tuple(dict.fromkeys(defaults)), {}, facts, (), facts, None, None, None)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: DefaultTheory is immutable")
-
-    def __reduce__(self):  # pickle and copy rebuild from the rules and facts
-        return DefaultTheory, (self.defaults, self.facts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DefaultTheory):
-            return NotImplemented
-        return self.defaults == other.defaults and self.facts == other.facts
-
-    def __hash__(self) -> int:
-        return hash((self.defaults, self.facts))
 
     def __repr__(self) -> str:
         """The dataclass-style form, with the facts in ``literal_order`` so that
@@ -312,8 +381,7 @@ def _fill(theory: DefaultTheory, *values) -> DefaultTheory:
     return theory
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """Classification of a theory into the fragment lattice.
 
     ``tag`` is the most specific of DF, NMU, NU, DNU; the boolean fields
@@ -395,6 +463,9 @@ def parse_theory(text: str, *, allow_reserved: bool = False) -> DefaultTheory:
             tokens.append((token, m.start()))
     end = tokens[-1][1] + len(tokens[-1][0]) if tokens else 0
     tokens.reverse()  # the next token is tokens[-1]
+    # The literals made so far, negative then positive, by letter: every
+    # occurrence of one literal is the same object, with one kept negation.
+    made: tuple[dict[str, Literal], dict[str, Literal]] = ({}, {})
 
     def peek() -> str:
         return tokens[-1][0] if tokens else ""
@@ -422,7 +493,11 @@ def parse_theory(text: str, *, allow_reserved: bool = False) -> DefaultTheory:
         if not allow_reserved and letter.startswith(RESERVED_PREFIXES):
             message = f"letter {letter!r} uses a prefix reserved for generated theories"
             raise _error_at(text, offset, message, ReservedLetterError)
-        return Literal(letter, positive)
+        known = made[positive]
+        l = known.get(letter)
+        if l is None:
+            l = known[letter] = Literal(letter, positive)
+        return l
 
     def conjunction(what: str) -> frozenset[Literal]:
         if not (at_letter() or peek() == "-"):

@@ -17,20 +17,17 @@ fixpoint and the rule chains that ground ``semantics.is_extension``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DefaultTheory, Literal, bits, compiled, letter_mask, lett, numbering
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(NamedTuple):
     """Ordered strongly connected components C1..CN with their max size."""
 
     components: tuple[frozenset[str], ...]

@@ -41,11 +41,9 @@ large seeded random families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import DefaultTheory, Literal, bits, classify, compiled, is_inconsistent, literal_order, numbering
+from .core import DefaultTheory, Literal, _Immutable, bits, classify, compiled, is_inconsistent, literal_order, numbering
 from .depgraph import cone_lookup, walk
 from .errors import BudgetExceededError, ScopeError
 
@@ -55,22 +53,32 @@ AUTO = "auto"
 DEFAULT_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class SignatureSet:
+class SignatureSet(_Immutable):
     """The finite literal set characterizing one extension.
 
     ``generating`` lists the indices (into the theory's rule list) of the
     generating defaults in application order.  An inconsistent signature set
     stands for the single extension of a theory with inconsistent facts and
-    contains every literal.
+    contains every literal.  Whether the set is inconsistent is decided on
+    first need.
     """
 
+    __slots__ = ("literals", "generating", "_inconsistent")
+    __match_args__ = ("literals", "generating")
     literals: frozenset[Literal]
     generating: tuple[int, ...]
 
-    @cached_property
+    def __init__(self, literals: frozenset[Literal], generating: tuple[int, ...]):
+        put = object.__setattr__
+        put(self, "literals", literals)
+        put(self, "generating", generating)
+        put(self, "_inconsistent", None)
+
+    @property
     def inconsistent(self) -> bool:
-        return is_inconsistent(self.literals)
+        if self._inconsistent is None:
+            object.__setattr__(self, "_inconsistent", is_inconsistent(self.literals))
+        return self._inconsistent
 
     def contains(self, literal: Literal) -> bool:
         return self.inconsistent or literal in self.literals

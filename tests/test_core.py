@@ -1,6 +1,11 @@
 import copy
+import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +19,10 @@ from defoutlier import (
     Literal,
     ParseError,
     ReservedLetterError,
+    SignatureSet,
+    build_graph,
     classify,
+    decompose,
     dualize,
     entails,
     is_inconsistent,
@@ -96,6 +104,160 @@ def test_normal_rule_detection():
 
 def test_lett():
     assert lett(lits("a", "-b")) == {"a", "b"}
+
+
+# ---------------------------------------------------------------------------
+# Value semantics
+# ---------------------------------------------------------------------------
+
+# Each value type, built twice from scratch, with its exact repr.  Sets hold one
+# element so that the repr does not depend on PYTHONHASHSEED.
+VALUES = [
+    (lambda: Literal("a", False), "Literal('-a')"),
+    (lambda: lit("b_2"), "Literal('b_2')"),
+    (
+        lambda: normal_rule("a", "-b"),
+        "DefaultRule(prerequisite=frozenset({Literal('a')}), justification=frozenset({Literal('-b')}), "
+        "consequent=frozenset({Literal('-b')}))",
+    ),
+    (
+        lambda: rule("", "c", "d"),
+        "DefaultRule(prerequisite=frozenset(), justification=frozenset({Literal('c')}), "
+        "consequent=frozenset({Literal('d')}))",
+    ),
+    (lambda: SignatureSet(lits("a"), (0, 2)), "SignatureSet(literals=frozenset({Literal('a')}), generating=(0, 2))"),
+    (
+        lambda: classify(parse_theory("default a : b / b.")),
+        "Fragment(tag='NU', normal=True, is_nmu=True, is_nu=True, is_dnu=False)",
+    ),
+    (
+        lambda: build_graph(parse_theory("default a : a / a.")),
+        "DependencyGraph(vertices=frozenset({'a'}), edges=frozenset({('a', 'a')}))",
+    ),
+    (
+        lambda: decompose(parse_theory("default a : a / a.")),
+        "SccDecomposition(components=(frozenset({'a'}),), tightness=1)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, text", VALUES)
+def test_value_types_compare_hash_print_and_copy_by_their_fields(make, text):
+    value, twin = make(), make()
+    assert value is not twin and value == twin and not value != twin
+    fields = tuple(getattr(value, name) for name in type(value).__match_args__)
+    assert hash(value) == hash(twin) == hash(fields)
+    assert repr(value) == text
+    assert type(value)(*fields) == value
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+        assert repr(copied) == text
+    for name in type(value).__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in type(value).__match_args__) == fields
+
+
+def test_slotted_value_types_keep_no_attribute_beside_their_slots():
+    for value in (lit("a"), normal_rule("a", "b"), SignatureSet(lits("a"), ())):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    a = lit("a")
+    assert a != ("a", True) and normal_rule("a", "b") != (lits("a"), lits("b"), lits("b"))
+
+
+def test_literals_order_by_letter_then_polarity():
+    ordered = [Literal("a", False), Literal("a"), Literal("b", False), Literal("b")]
+    assert sorted(reversed(ordered)) == ordered
+    for x in ordered:
+        for y in ordered:
+            key_x, key_y = (x.letter, x.positive), (y.letter, y.positive)
+            assert (x < y, x <= y, x > y, x >= y) == (key_x < key_y, key_x <= key_y, key_x > key_y, key_x >= key_y)
+    for op in ("<", "<=", ">", ">="):
+        with pytest.raises(TypeError):
+            eval(f"x {op} y", {"x": lit("a"), "y": ("a", True)})
+
+
+def test_negation_is_kept_one_way_and_is_no_part_of_the_value():
+    a, fresh = lit("a"), lit("a")
+    not_a = a.negate()
+    assert a.negate() is not_a and not_a == Literal("a", False)
+    assert not_a.negate() == a and not_a.negate() is not_a.negate()
+    # The negation holds no link back, so no two literals form a cycle.
+    assert not any(r is a for r in gc.get_referents(not_a))
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert pickle.dumps(a) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(a)).negate() == not_a
+
+
+def test_threads_racing_on_negate_get_equal_literals():
+    # More threads than cores and a short switch interval make the first
+    # negations overlap; each literal's negation must read equal in every
+    # thread, and stay put once the race is over.
+    literals = [Literal(f"x{i}", i % 2 == 0) for i in range(3000)]
+    results, barrier = [], threading.Barrier(8)
+
+    def negate_all_of_them():
+        barrier.wait(timeout=30)
+        results.append([l.negate() for l in literals])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=negate_all_of_them) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
+    for l, seen in zip(literals, zip(*results)):
+        want = Literal(l.letter, not l.positive)
+        assert all(n == want for n in seen)
+        assert l.negate() is l.negate() == want
+
+
+def test_pickles_load_under_another_hash_seed(tmp_path):
+    # str hashes differ between processes, so a pickle must not carry the
+    # hash kept at construction: sets and dicts built from loaded values
+    # must still find freshly built ones, and the other way round.
+    path = tmp_path / "values.pickle"
+    dump = (
+        "import pickle, sys\n"
+        "from defoutlier import lit, lits\n"
+        "from defoutlier.core import normal_rule\n"
+        "ls = [lit(x) for x in ('a', '-a', 'b_2', '-long_letter')]\n"
+        "rules = [normal_rule('a', '-b'), normal_rule('', 'c')]\n"
+        "for l in ls: l.negate()\n"
+        "with open(sys.argv[1], 'wb') as f:\n"
+        "    pickle.dump((ls, set(ls), {l: str(l) for l in ls}, rules, set(rules)), f)\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from defoutlier import lit\n"
+        "from defoutlier.core import normal_rule\n"
+        "with open(sys.argv[1], 'rb') as f:\n"
+        "    ls, as_set, as_dict, rules, rule_set = pickle.load(f)\n"
+        "fresh = [lit(x) for x in ('a', '-a', 'b_2', '-long_letter')]\n"
+        "assert ls == fresh and [hash(l) for l in ls] == [hash(l) for l in fresh]\n"
+        "assert all(l in as_set and as_dict[l] == str(l) for l in fresh)\n"
+        "assert set(fresh) == as_set and all(l in set(fresh) for l in ls)\n"
+        "assert [l.negate() for l in ls] == [l.negate() for l in fresh]\n"
+        "fresh_rules = [normal_rule('a', '-b'), normal_rule('', 'c')]\n"
+        "assert rules == fresh_rules and all(r in rule_set for r in fresh_rules)\n"
+        "assert set(fresh_rules) == rule_set\n"
+    )
+    for script, seed in ((dump, "1"), (load, "2")):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The package surface: every public name resolves, and importing the package
 or running a CLI verb loads only the submodules it needs."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,19 +28,20 @@ PUBLIC = [
 SUBMODULES = ["core", "depgraph", "errors", "oracles", "outliers", "semantics"]
 
 
-def _loaded_submodules(*argv: str) -> set[str]:
-    """The ``defoutlier.*`` modules in ``sys.modules`` when a fresh interpreter
-    exits after ``import defoutlier`` (no ``argv``) or ``python -m defoutlier
-    *argv``.  Standard-library modules are not checked, since ``site`` may
-    preload them."""
+def _loaded_modules(*argv: str) -> set[str]:
+    """The modules in ``sys.modules`` when a fresh interpreter exits after
+    ``import defoutlier`` (no ``argv``) or ``python -m defoutlier *argv``.
+    It runs with ``-S``, so that no ``.pth`` file preloads a standard-library
+    module, and finds the package through ``PYTHONPATH``."""
     run = "runpy.run_module('defoutlier', run_name='__main__', alter_sys=True)" if argv else "import defoutlier"
     script = (
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(*[m for m in sys.modules if m.startswith('defoutlier.')], file=sys.stderr))\n"
+        "atexit.register(lambda: print(*sys.modules, file=sys.stderr))\n"
         f"sys.argv = ['defoutlier', *{list(argv)!r}]\n"
         f"{run}\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(defoutlier.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
 
@@ -79,21 +82,25 @@ def test_unknown_name_raises_attribute_error():
 @pytest.mark.parametrize(
     "verb, absent",
     [
-        (None, {f"defoutlier.{m}" for m in SUBMODULES}),
-        ("entails", {"defoutlier.outliers", "defoutlier.oracles"}),
+        (None, {f"defoutlier.{m}" for m in SUBMODULES} | {"dataclasses", "inspect"}),
+        ("entails", {"defoutlier.outliers", "defoutlier.oracles", "dataclasses", "inspect"}),
         ("recognize", {"defoutlier.oracles"}),
+        ("classify", {"defoutlier.outliers", "defoutlier.oracles", "dataclasses", "inspect"}),
     ],
 )
 def test_imports_load_only_what_runs(tmp_path, verb, absent):
     if verb is None:
-        loaded = _loaded_submodules()
+        loaded = _loaded_modules()
     else:
         path = tmp_path / "creditcard.dth"
         path.write_text(CREDIT_CARD)
-        query = ["--goal" if verb == "entails" else "--L", "CreditNumber"]  # both answer yes, exit 0
-        loaded = _loaded_submodules(verb, *query, str(path))
+        # Each call answers yes and exits 0.
+        query = {"entails": ["--goal", "CreditNumber"], "recognize": ["--L", "CreditNumber"]}.get(verb, [])
+        loaded = _loaded_modules(verb, *query, str(path))
         assert "defoutlier.cli" in loaded
     assert not loaded & absent
+    # Outlier reports are dataclasses, so only the outlier verbs load the module.
+    assert ("dataclasses" in loaded) == (verb == "recognize")
 
 
 def test_threads_racing_on_first_use_get_the_same_objects():
