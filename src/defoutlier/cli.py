@@ -21,10 +21,13 @@ from .semantics import DEFAULT_BUDGET, entails, extensions
 
 
 def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for ``-``, less a leading UTF-8 byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    return text.removeprefix("\ufeff")
 
 
 def _read_theory(path: str):

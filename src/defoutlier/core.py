@@ -9,8 +9,12 @@ conjunctions of literals.  The text format is line-oriented::
     % comments run to end of line
 
 ``-`` negates, ``&`` joins conjuncts, ``.`` terminates a statement, and the
-prerequisite may be omitted entirely ("default : b / b.").  One regex scanner
-tokenizes the format; a letter is ``[A-Za-z_][A-Za-z0-9_]*``.
+prerequisite may be omitted entirely ("default : b / b.").  A letter is
+``[A-Za-z_][A-Za-z0-9_]*``; the keywords are letters too.  Blanks are space,
+tab, CR and LF, and a comment may hold any character.  One regex is the
+grammar: each match reads one statement, or as much of it as is well formed,
+which names the error.  A parse builds one frozenset per distinct
+conjunction, so a normal rule's justification is its consequent.
 
 Literals, rules and theories are immutable slotted classes, not dataclasses,
 so that importing the module loads neither ``dataclasses`` nor ``inspect``.
@@ -209,27 +213,32 @@ class DefaultRule(_Immutable):
         return lett(self.prerequisite) | lett(self.justification) | lett(self.consequent)
 
     def __str__(self) -> str:
-        def conj(ls: frozenset[Literal]) -> str:
-            return " & ".join(str(l) for l in sorted(ls, key=literal_order))
+        return _rule_text(self, _conjunction_text)
 
-        pre = conj(self.prerequisite)
-        return f"{pre}{' ' if pre else ''}: {conj(self.justification)} / {conj(self.consequent)}"
+
+def _conjunction_text(ls: frozenset[Literal]) -> str:
+    return " & ".join(str(l) for l in sorted(ls, key=literal_order))
+
+
+def _rule_text(d: DefaultRule, conj: Callable[[frozenset[Literal]], str]) -> str:
+    pre = conj(d.prerequisite)
+    return f"{pre}{' ' if pre else ''}: {conj(d.justification)} / {conj(d.consequent)}"
+
+
+def _conjunction(text: str) -> frozenset[Literal]:
+    """The literals of an ``&``-joined literal string; none for a blank one."""
+    return lits(*text.split("&")) if text.strip() else frozenset()
 
 
 def rule(pre: str = "", just: str = "", concl: str = "") -> DefaultRule:
     """Build a rule from ``&``-joined literal strings; empty pre allowed."""
-
-    def parts(s: str) -> frozenset[Literal]:
-        s = s.strip()
-        if not s:
-            return frozenset()
-        return frozenset(lit(p) for p in s.split("&"))
-
-    return DefaultRule(parts(pre), parts(just), parts(concl))
+    return DefaultRule(_conjunction(pre), _conjunction(just), _conjunction(concl))
 
 
 def normal_rule(pre: str, concl: str) -> DefaultRule:
-    return rule(pre, concl, concl)
+    """A normal rule, whose justification is its consequent: one object."""
+    consequent = _conjunction(concl)
+    return DefaultRule(_conjunction(pre), consequent, consequent)
 
 
 def compiled(theory: "DefaultTheory", build: Callable[["DefaultTheory"], T]) -> T:
@@ -239,14 +248,14 @@ def compiled(theory: "DefaultTheory", build: Callable[["DefaultTheory"], T]) -> 
     keyed by the function that computes each item.  ``build`` reads only
     the rules, directly or through other compiled items such as
     ``numbering``.  Two threads filling the same item at once may both
-    compute it, but only to equal values.
+    compute it, but the first one stored is kept and returned to both, so
+    what either later caches in it (cones, say) is never lost.
     """
     items = theory._rules
     try:
         return items[build]
     except KeyError:
-        item = items[build] = build(theory)
-        return item
+        return items.setdefault(build, build(theory))
 
 
 def numbering(theory: "DefaultTheory") -> dict[str, int]:
@@ -429,23 +438,108 @@ def _classify_rules(theory: DefaultTheory) -> Fragment:
 def dualize(theory: DefaultTheory) -> DefaultTheory:
     """Replace every literal occurrence in D and W by its negation.
 
-    An involution; maps NU theories to DNU ones and vice versa.
+    An involution; maps NU theories to DNU ones and vice versa.  Each
+    distinct conjunction is negated once, so equal parts stay one object.
     """
-    parts = ((d.prerequisite, d.justification, d.consequent) for d in theory.defaults)
-    return DefaultTheory((DefaultRule(*map(negate_all, p)) for p in parts), negate_all(theory.facts))
+    dual = functools.cache(negate_all)
+    rules = (DefaultRule(dual(d.prerequisite), dual(d.justification), dual(d.consequent)) for d in theory.defaults)
+    return DefaultTheory(rules, negate_all(theory.facts))
 
 
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 
-# Blanks and comments, a token (a letter or a symbol), or any other character.
-_TOKEN = re.compile(rf"[ \t\r\n]+|%[^\n]*|({LETTER.pattern}|[-&:/.])|(.)", re.DOTALL)
+# Blanks are space, tab, CR and LF.  A comment runs from ``%`` to the end of
+# its line; ``parse_theory`` first overwrites each with spaces, so that
+# offsets hold and no pattern below meets a comment.
+_COMMENT = re.compile(r"%[^\n]*")
+_BLANK = r"[ \t\r\n]*"
+_LITERAL = rf"(?:-{_BLANK})?{LETTER.pattern}"
+_CONJUNCTION = rf"{_LITERAL}(?:{_BLANK}&{_BLANK}{_LITERAL})*"
+# The sign and the letter of each literal of a well-formed conjunction; each
+# match starts where the last one ended.
+_SIGNED_LETTER = re.compile(rf"[ \t\r\n&]*(-?){_BLANK}({LETTER.pattern})")
+
+
+def _part(name: str, then: str, optional: bool = False) -> str:
+    """A conjunction captured as ``name``, then ``then``, the rest of the
+    statement; only an ``optional`` conjunction may be missing before it.
+
+    Where the statement stops short, its last group matched says why:
+    ``name`` when ``then`` does not follow; ``name_and`` when a ``&`` (and a
+    ``-``) follows with no letter after it; ``name_neg`` when a ``-`` with no
+    letter after it stands where the conjunction should; and the group
+    before ``name`` when nothing of the conjunction stands there."""
+    if not optional:
+        then = rf"(?({name}){then}|(?!))"
+    return (
+        rf"(?:{_BLANK}(?P<{name}>{_CONJUNCTION}))?"
+        rf"(?:{then}|(?({name}){_BLANK}&(?:{_BLANK}-)?(?P<{name}_and>)|{_BLANK}-(?P<{name}_neg>)))?"
+    )
+
+
+# The grammar, one statement per match: after blanks (the empty group ``at``
+# marks where they end), a statement as far as it is well formed; else a
+# token that starts none, or any other character.  A keyword is also a
+# letter, so no letter character may follow it.  A text is a run of matches,
+# each starting where the last one ended; only the last, at the end of the
+# text, can be empty.  No two blank runs meet without a symbol between them,
+# so a step that fails backs off over one run only, and time stays linear.
+_KEYWORD_END = "(?![A-Za-z0-9_])"
+_FACT = f"(?P<fact>fact){_KEYWORD_END}" + _part("f", rf"{_BLANK}\.(?P<fact_end>)")
+_RULE = f"(?P<default>default){_KEYWORD_END}" + _part(
+    "p", f"{_BLANK}:(?P<colon>)" + _part("j", f"{_BLANK}/(?P<slash>)" + _part("c", rf"{_BLANK}\.(?P<rule_end>)")), True
+)
+_STATEMENT = re.compile(rf"{_BLANK}(?P<at>)(?:{_FACT}|{_RULE}|(?P<token>{LETTER.pattern}|[-&:/.])|(?P<other>.))?")
+_AT, _FACT_END, _RULE_END, _F, _P, _J, _C = (
+    _STATEMENT.groupindex[name] for name in ("at", "fact_end", "rule_end", "f", "p", "j", "c")
+)
+# The message of a statement that stops after the named group; after any other, "expected a letter".
+_EXPECTED = {
+    "token": "expected 'fact' or 'default'",
+    "fact": "empty fact: expected a literal",
+    "f": "expected '.'",
+    "default": "empty prerequisite: expected a literal",
+    "p": "expected ':'",
+    "colon": "empty justification: expected a literal",
+    "j": "expected '/'",
+    "slash": "empty consequent: expected a literal",
+    "c": "expected '.'",
+}
+
+
+class _Reserved(Exception):
+    """A conjunction read a reserved letter; ``_error`` says where."""
 
 
 def _error_at(text: str, offset: int, message: str, kind: type[ParseError] = ParseError) -> ParseError:
     line = text.count("\n", 0, offset) + 1
     return kind(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _error(text: str, m: re.Match, rest: Iterator[re.Match], allow_reserved: bool) -> ParseError:
+    """The error of a text whose statement ``m`` is the first one that stops
+    short or reads a reserved letter; ``rest`` yields the matches after it.
+    An unexpected character anywhere in the text comes first, then a
+    reserved letter that ``m`` reads, then the grammar error of ``m``."""
+    after = list(rest)
+    for x in (m, *after):
+        if x.lastgroup == "other":
+            return _error_at(text, x.start("other"), f"unexpected character {x['other']!r}")
+    for group in (_F, _P, _J, _C):  # the conjunctions of m, in text order
+        if allow_reserved or m[group] is None:
+            continue
+        for l in _SIGNED_LETTER.finditer(text, *m.span(group)):
+            if l[2].startswith(RESERVED_PREFIXES):
+                message = f"letter {l[2]!r} uses a prefix reserved for generated theories"
+                return _error_at(text, l.start(2), message, ReservedLetterError)
+    message = _EXPECTED.get(m.lastgroup, "expected a letter")
+    if m.lastgroup == "token":
+        return _error_at(text, m.start("token"), message)
+    if not after or after[0].lastindex == _AT:  # nothing but blanks follows
+        return _error_at(text, m.end(), message + " (at end of input)")
+    return _error_at(text, after[0].start(_AT), message)
 
 
 def parse_theory(text: str, *, allow_reserved: bool = False) -> DefaultTheory:
@@ -454,77 +548,50 @@ def parse_theory(text: str, *, allow_reserved: bool = False) -> DefaultTheory:
     ``allow_reserved`` admits the ``_y/_c/_l/_f`` letter prefixes used by
     generated reduction theories.
     """
-    tokens: list[tuple[str, int]] = []  # (text, offset), reversed below
-    for m in _TOKEN.finditer(text):
-        token, other = m.group(1, 2)
-        if other is not None:
-            raise _error_at(text, m.start(), f"unexpected character {other!r}")
-        if token is not None:
-            tokens.append((token, m.start()))
-    end = tokens[-1][1] + len(tokens[-1][0]) if tokens else 0
-    tokens.reverse()  # the next token is tokens[-1]
-    # The literals made so far, negative then positive, by letter: every
-    # occurrence of one literal is the same object, with one kept negation.
-    made: tuple[dict[str, Literal], dict[str, Literal]] = ({}, {})
+    # Each conjunction text read, and each distinct conjunction, mapped to one
+    # frozenset; each literal, by sign and letter, to one Literal.  So every
+    # occurrence of a literal shares one kept hash and negation, and a normal
+    # rule's justification is its consequent.
+    made: dict[str | frozenset[Literal], frozenset[Literal]] = {}
+    literals: dict[tuple[str, str], Literal] = {}
 
-    def peek() -> str:
-        return tokens[-1][0] if tokens else ""
+    def conjunction(part: str) -> frozenset[Literal]:
+        read = []
+        for key in _SIGNED_LETTER.findall(part):
+            l = literals.get(key)
+            if l is None:
+                sign, letter = key
+                if not allow_reserved and letter.startswith(RESERVED_PREFIXES):
+                    raise _Reserved
+                l = literals[key] = Literal(letter, not sign)
+            read.append(l)
+        c = frozenset(read)
+        c = made[part] = made.setdefault(c, c)
+        return c
 
-    def at_letter() -> bool:
-        return bool(tokens) and tokens[-1][0][0] not in "-&:/."
-
-    def error(message: str) -> ParseError:
-        if tokens:
-            return _error_at(text, tokens[-1][1], message)
-        return _error_at(text, end, message + " (at end of input)")
-
-    def expect(symbol: str) -> None:
-        if peek() != symbol:
-            raise error(f"expected {symbol!r}")
-        tokens.pop()
-
-    def literal() -> Literal:
-        positive = peek() != "-"
-        if not positive:
-            tokens.pop()
-        if not at_letter():
-            raise error("expected a letter")
-        letter, offset = tokens.pop()
-        if not allow_reserved and letter.startswith(RESERVED_PREFIXES):
-            message = f"letter {letter!r} uses a prefix reserved for generated theories"
-            raise _error_at(text, offset, message, ReservedLetterError)
-        known = made[positive]
-        l = known.get(letter)
-        if l is None:
-            l = known[letter] = Literal(letter, positive)
-        return l
-
-    def conjunction(what: str) -> frozenset[Literal]:
-        if not (at_letter() or peek() == "-"):
-            raise error(f"empty {what}: expected a literal")
-        out = {literal()}
-        while peek() == "&":
-            tokens.pop()
-            out.add(literal())
-        return frozenset(out)
-
+    if "%" in text:
+        text = _COMMENT.sub(lambda comment: " " * len(comment[0]), text)
+    get, empty = made.get, frozenset()
     facts: list[Literal] = []
     defaults: list[DefaultRule] = []
-    while tokens:
-        keyword = peek()
-        if keyword not in ("fact", "default"):
-            raise error("expected 'fact' or 'default'")
-        tokens.pop()
-        if keyword == "fact":
-            facts.extend(conjunction("fact"))
+    matches = _STATEMENT.finditer(text)  # each match starts where the last one ended
+    try:
+        for m in matches:
+            last = m.lastindex
+            if last == _RULE_END:
+                p, j, c = m.group(_P, _J, _C)
+                pre = empty if p is None else get(p) or conjunction(p)
+                defaults.append(DefaultRule(pre, get(j) or conjunction(j), get(c) or conjunction(c)))
+            elif last == _FACT_END:
+                f = m[_F]
+                facts.extend(get(f) or conjunction(f))
+            elif last != _AT:
+                break
         else:
-            pre = frozenset() if peek() == ":" else conjunction("prerequisite")
-            expect(":")
-            just = conjunction("justification")
-            expect("/")
-            defaults.append(DefaultRule(pre, just, conjunction("consequent")))
-        expect(".")
-    return DefaultTheory(defaults, facts)
+            return DefaultTheory(defaults, facts)
+    except _Reserved:
+        pass
+    raise _error(text, m, matches, allow_reserved)
 
 
 def theory_to_text(theory: DefaultTheory) -> str:
@@ -534,5 +601,6 @@ def theory_to_text(theory: DefaultTheory) -> str:
     if bad:
         raise ValueError(f"letter {bad[0]!r} cannot be written in the text format")
     lines = [f"fact {l}." for l in sorted(theory.facts, key=literal_order)]
-    lines.extend(f"default {d}." for d in theory.defaults)
+    conj = functools.cache(_conjunction_text)  # each distinct conjunction rendered once per call
+    lines.extend(f"default {_rule_text(d, conj)}." for d in theory.defaults)
     return "\n".join(lines) + ("\n" if lines else "")

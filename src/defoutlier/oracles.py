@@ -149,7 +149,8 @@ def _sigma(l: int) -> Literal:
 
 def _nr(pre: Literal | None, concl: Literal) -> DefaultRule:
     pre_set = frozenset() if pre is None else frozenset([pre])
-    return DefaultRule(pre_set, frozenset([concl]), frozenset([concl]))
+    consequent = frozenset([concl])
+    return DefaultRule(pre_set, consequent, consequent)
 
 
 def _base_rules(phi: Cnf3) -> list[DefaultRule]:
@@ -352,7 +353,8 @@ def random_theory(
                 continue
             sign = forced_signs.pop() if forced_signs else pre_sign()
             pre = frozenset({Literal(pre_letter, sign)})
-        r = DefaultRule(pre, frozenset([concl]), frozenset([concl]))
+        consequent = frozenset([concl])
+        r = DefaultRule(pre, consequent, consequent)
         if r in seen:
             continue
         seen.add(r)

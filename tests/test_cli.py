@@ -143,6 +143,24 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "justification" in err
 
 
+def test_byte_order_mark_is_dropped(capsys, tmp_path, monkeypatch):
+    # Editors may save UTF-8 with a leading byte-order mark; theory and DIMACS input alike drop it.
+    theory = tmp_path / "bom.dth"
+    theory.write_text("\ufefffact a. default a : b / b.", encoding="utf-8")
+    assert run(capsys, "entails", "--goal", "b", str(theory))[:2] == (0, "entailed\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufefffact a."))
+    assert run(capsys, "entails", "--goal", "a", "-")[:2] == (0, "entailed\n")
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n", encoding="utf-8")
+    plain = run(capsys, "reduce", "--construction", "thm10", str(cnf))
+    cnf.write_text("\ufeffp cnf 1 2\n1 0\n-1 0\n", encoding="utf-8")
+    assert run(capsys, "reduce", "--construction", "thm10", str(cnf)) == plain and plain[0] == 0
+    # A mark anywhere else is still an unexpected character.
+    theory.write_text("fact a.\ufeff", encoding="utf-8")
+    code, _, err = run(capsys, "classify", str(theory))
+    assert code == 2 and "1:8: unexpected character '\\ufeff'" in err
+
+
 def test_budget_exit_3(capsys, tmp_path):
     p = tmp_path / "t.dth"
     from defoutlier import random_theory, theory_to_text

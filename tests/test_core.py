@@ -3,9 +3,11 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +34,7 @@ from defoutlier import (
     theory_to_text,
     tightness,
 )
-from defoutlier import core
+from defoutlier import core, oracles
 from defoutlier.core import lett, normal_rule, rule
 from conftest import CELLPHONE
 
@@ -317,6 +319,11 @@ def test_parse_errors_pin_message_and_position():
             1,
             6,
         ),
+        ("x. |", ParseError, "unexpected character '|'", 1, 4),
+        ("fact _l &.", ReservedLetterError, "letter '_l' uses a prefix reserved for generated theories", 1, 6),
+        ("fact a.\fb.", ParseError, "unexpected character '\\x0c'", 1, 8),
+        ("fact\u00a0a.", ParseError, "unexpected character '\\xa0'", 1, 5),
+        ("default a : b / b. %é\nfact 9a.", ParseError, "unexpected character '9'", 2, 6),
     ]
     for text, kind, message, line, col in table:
         with pytest.raises(ParseError) as err:
@@ -384,6 +391,68 @@ def test_round_trip_property(data):
     facts = data.draw(st.frozensets(lit_st, max_size=4))
     theory = DefaultTheory(rules, facts)
     assert parse_theory(theory_to_text(theory)) == theory
+
+
+_FILLER = st.lists(
+    st.one_of(
+        st.sampled_from([" ", "\t", "\r", "\n"]),
+        st.text(alphabet="ab_&:/.- ", max_size=8).map(lambda body: f"%{body}\n"),
+    ),
+    max_size=3,
+).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blanks_and_comments_between_tokens_leave_the_parse_equal(data):
+    letters = ["a", "b", "fact", "default"]
+    lit_st = st.builds(Literal, st.sampled_from(letters), st.booleans())
+    conj = st.frozensets(lit_st, min_size=1, max_size=2)
+    rules = data.draw(st.lists(st.builds(DefaultRule, st.frozensets(lit_st, max_size=2), conj, conj), max_size=3))
+    theory = DefaultTheory(rules, data.draw(st.frozensets(lit_st, max_size=3)))
+    # Every letter and every other character of the text, each followed by filler.
+    pieces = re.findall(r"[A-Za-z0-9_]+|[^A-Za-z0-9_]", theory_to_text(theory))
+    text = "".join(piece + data.draw(_FILLER) for piece in pieces)
+    assert parse_theory(text) == theory
+
+
+def test_long_blank_runs_and_letters_parse_in_linear_time():
+    # A grammar whose blank runs could be split two ways backs off
+    # quadratically: at 50 000 blanks one such text would take tens of
+    # seconds, while all of these take well under one.
+    snippets = ["fact a & -b.", "default a & -b : -c / -c.", "fact a & - .", "default - : b / b.", "default a b"]
+    texts = [s[:i] + " " * 50_000 + s[i:] for s in snippets for i in range(len(s) + 1)]
+    texts += [s.replace("a", "a9" * 50_000) for s in snippets]
+    start = time.perf_counter()
+    for text in texts:
+        try:
+            parse_theory(text)
+        except ParseError:
+            pass
+        assert time.perf_counter() - start < 5, text[:40]
+
+
+def test_comments_hold_any_character_and_keywords_are_letters():
+    assert parse_theory("fact a % b & c.\n.") == DefaultTheory([], lits("a"))
+    t = parse_theory("fact fact. default default : default / default.")
+    assert t == DefaultTheory([normal_rule("default", "default")], lits("fact"))
+
+
+def test_normal_rules_hold_one_conjunction_object():
+    # A normal rule's justification is its consequent, however it was built.
+    text = "fact a. default a : b / b. default : -c & b / b & -c. default b : -c / -c."
+    phi = oracles.Cnf3(2, ((1, -2, 2), (-1, 1, 2)))
+    theories = [build(phi).theory for build in oracles.BUILDERS.values()] + [
+        parse_theory(text),
+        dualize(parse_theory(text)),
+        DefaultTheory([normal_rule("a", "b & -c")], []),
+        oracles.random_theory("NU", 12, 16, 2, seed=5),
+        oracles.random_theory("NMU", 12, 16, 2, seed=5),
+    ]
+    for t in theories:
+        normal = [d for d in t.defaults if d.normal]
+        assert normal, t
+        assert all(d.justification is d.consequent for d in normal), t
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +533,23 @@ def test_fact_variants_share_one_rule_base(cellphone):
     variants = [removed, removed.with_facts(cellphone.facts), cellphone.with_facts([])]
     assert all(v._rules is cellphone._rules for v in variants)
     assert all(v.defaults is cellphone.defaults for v in variants)
+
+
+def test_compiled_keeps_the_first_item_stored():
+    # A second filler that stores the item while the first one is still
+    # computing stands for a racing thread: both must get the stored item,
+    # or what one of them caches in its own copy is lost.
+    theory = parse_theory("default a : b / b.")
+    calls, stored = [], []
+
+    def build(t):
+        calls.append(t)
+        if len(calls) == 1:
+            stored.append(core.compiled(t, build))
+        return object()
+
+    assert core.compiled(theory, build) is stored[0]
+    assert core.compiled(theory, build) is stored[0] and len(calls) == 2
 
 
 def test_rule_base_takes_no_part_in_equality(cellphone):
