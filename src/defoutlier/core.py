@@ -26,9 +26,8 @@ Every fact-set variant of a theory shares one rule base, where each item
 compiled from the rules (see ``compiled``) is kept once.  The first is the
 letter ``numbering``: the sorted rule letters, rule letter i being bit i of
 every mask over letters in the package.  A theory holds its facts on rule
-letters as two such masks, positive and negative, and ``remove_facts``
-withdraws facts by clearing bits, building the variant's ``facts`` set
-only when something reads it.
+letters as two such masks, positive and negative; a witness check withdraws
+facts by clearing bits of those masks, without building a variant.
 """
 
 from __future__ import annotations
@@ -44,8 +43,9 @@ from .errors import ParseError, ReservedLetterError
 # Letter prefixes used for fresh letters in generated theories; rejected in
 # ordinary input so user letters can never collide with generated ones.
 RESERVED_PREFIXES = ("_y", "_c", "_l", "_f")
-# The letter syntax of the text format, shared with ``lit`` and so with CLI literal lists.
+# The letter syntax and the blanks of the text format, shared with ``lit`` and so with CLI literal lists.
 LETTER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_BLANKS = " \t\r\n"
 
 T = TypeVar("T")
 
@@ -141,9 +141,10 @@ _set_letter, _set_positive, _set_hash, _set_negation = (getattr(Literal, x).__se
 
 
 def lit(text: str) -> Literal:
-    """Parse a single literal written as ``name`` or ``-name``, where name matches ``LETTER``."""
-    text = text.strip()
-    letter = text.removeprefix("-").strip()
+    """Parse a single literal written as ``name`` or ``-name``, where name
+    matches ``LETTER``, with blanks of the text format around either part."""
+    text = text.strip(_BLANKS)
+    letter = text.removeprefix("-").strip(_BLANKS)
     if not LETTER.fullmatch(letter):
         raise ValueError(f"bad literal {text!r}")
     return Literal(letter, letter == text)
@@ -227,7 +228,7 @@ def _rule_text(d: DefaultRule, conj: Callable[[frozenset[Literal]], str]) -> str
 
 def _conjunction(text: str) -> frozenset[Literal]:
     """The literals of an ``&``-joined literal string; none for a blank one."""
-    return lits(*text.split("&")) if text.strip() else frozenset()
+    return lits(*text.split("&")) if text.strip(_BLANKS) else frozenset()
 
 
 def rule(pre: str = "", just: str = "", concl: str = "") -> DefaultRule:
@@ -292,31 +293,29 @@ class DefaultTheory(_Immutable):
     literal set.  Instances are immutable and safe to share.  Fact-set
     variants made by ``with_facts`` and ``remove_facts`` share one rule
     base (see ``compiled``), which takes no part in equality, hashing or
-    ``repr``.  Nor do the fact masks (see ``fact_masks``), built on first
-    need, or the consistency mark.  ``remove_facts`` hands both on, clearing
-    only the withdrawn bits, since a subset of consistent facts is
-    consistent; its variant builds ``facts`` only when something reads it.
+    ``repr``.  Nor do the fact masks (see ``fact_masks``) or the
+    consistency mark, each filled on first need; a variant fills its own.
     """
 
-    __slots__ = ("defaults", "_rules", "_base", "_removed", "_facts", "_masks", "_at", "_consistent")
+    __slots__ = ("defaults", "facts", "_rules", "_masks", "_at", "_consistent")
     __match_args__ = ("defaults", "facts")  # pickle and copy rebuild from the rules and facts
     defaults: tuple[DefaultRule, ...]
+    facts: frozenset[Literal]
 
     def __init__(self, defaults: Iterable[DefaultRule], facts: Iterable[Literal]):
-        facts = frozenset(facts)
-        _fill(self, tuple(dict.fromkeys(defaults)), {}, facts, (), facts, None, None, None)
+        put = object.__setattr__
+        put(self, "defaults", tuple(dict.fromkeys(defaults)))
+        put(self, "facts", frozenset(facts))
+        put(self, "_rules", {})
+        put(self, "_masks", None)
+        put(self, "_at", None)
+        put(self, "_consistent", None)
 
     def __repr__(self) -> str:
         """The dataclass-style form, with the facts in ``literal_order`` so that
         equal theories print alike whatever built their fact sets."""
         facts = ", ".join(map(repr, sorted(self.facts, key=literal_order)))
         return f"DefaultTheory(defaults={self.defaults!r}, facts=frozenset({'{' + facts + '}' if facts else ''}))"
-
-    @property
-    def facts(self) -> frozenset[Literal]:
-        if self._facts is None:  # a variant: its ancestor's facts less each withdrawal
-            object.__setattr__(self, "_facts", self._base.difference(*self._removed))
-        return self._facts
 
     def letters(self) -> frozenset[str]:
         return lett(self.facts).union(compiled(self, numbering))
@@ -348,46 +347,15 @@ class DefaultTheory(_Immutable):
         return [at[i] for i in bits((pos | neg) & mask)]
 
     def with_facts(self, facts: Iterable[Literal]) -> "DefaultTheory":
-        facts = frozenset(facts)
-        return _fill(object.__new__(DefaultTheory), self.defaults, self._rules, facts, (), facts, None, None, None)
-
-    def remove_facts(self, removed: Iterable[Literal]) -> "DefaultTheory":
-        """The theory without the facts in ``removed`` (other literals are
-        ignored), at a cost of O(|removed|) mask operations once the facts
-        are known consistent.  Inconsistent facts get a fresh theory."""
-        removed = tuple(removed)
-        if not self.consistent_facts():
-            return self.with_facts(self.facts.difference(removed))
-        pos, neg = self.fact_masks()
-        ids = compiled(self, numbering)
-        for l in removed:
-            if l.letter in ids:  # clearing the bit of a literal that is no fact changes nothing
-                if l.positive:
-                    pos &= ~(1 << ids[l.letter])
-                else:
-                    neg &= ~(1 << ids[l.letter])
-        # Each slot is set directly, not through ``_fill``: a witness check runs this twice.
-        variant = object.__new__(DefaultTheory)
-        defaults, rules, base, withdrawn, facts, masks, at, consistent = _SLOT_SETTERS
-        defaults(variant, self.defaults)
-        rules(variant, self._rules)
-        base(variant, self._base)
-        withdrawn(variant, self._removed + (removed,))
-        facts(variant, None)
-        masks(variant, (pos, neg))
-        at(variant, self._at)
-        consistent(variant, True)
+        """The theory with ``facts`` for its facts and this one's rule base."""
+        variant = DefaultTheory((), facts)
+        object.__setattr__(variant, "defaults", self.defaults)
+        object.__setattr__(variant, "_rules", self._rules)
         return variant
 
-
-_SLOT_SETTERS = [getattr(DefaultTheory, name).__set__ for name in DefaultTheory.__slots__]
-
-
-def _fill(theory: DefaultTheory, *values) -> DefaultTheory:
-    """Set every slot of a new theory, in ``__slots__`` order."""
-    for put, value in zip(_SLOT_SETTERS, values, strict=True):
-        put(theory, value)
-    return theory
+    def remove_facts(self, removed: Iterable[Literal]) -> "DefaultTheory":
+        """The theory without the facts in ``removed``; other literals are ignored."""
+        return self.with_facts(self.facts.difference(removed))
 
 
 class Fragment(NamedTuple):
@@ -454,12 +422,12 @@ def dualize(theory: DefaultTheory) -> DefaultTheory:
 # its line; ``parse_theory`` first overwrites each with spaces, so that
 # offsets hold and no pattern below meets a comment.
 _COMMENT = re.compile(r"%[^\n]*")
-_BLANK = r"[ \t\r\n]*"
+_BLANK = f"[{_BLANKS}]*"
 _LITERAL = rf"(?:-{_BLANK})?{LETTER.pattern}"
 _CONJUNCTION = rf"{_LITERAL}(?:{_BLANK}&{_BLANK}{_LITERAL})*"
 # The sign and the letter of each literal of a well-formed conjunction; each
 # match starts where the last one ended.
-_SIGNED_LETTER = re.compile(rf"[ \t\r\n&]*(-?){_BLANK}({LETTER.pattern})")
+_SIGNED_LETTER = re.compile(rf"[{_BLANKS}&]*(-?){_BLANK}({LETTER.pattern})")
 
 
 def _part(name: str, then: str, optional: bool = False) -> str:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .core import (
     DefaultTheory,
@@ -49,7 +49,7 @@ from .core import (
 )
 from .depgraph import cone_lookup, downstream_components
 from .errors import InvalidQueryError, ScopeError
-from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, entails
+from .semantics import AUTO, DEFAULT_BUDGET, EXHAUSTIVE, FAST, _entails_without
 
 LiteralSet = frozenset[Literal]
 
@@ -80,8 +80,9 @@ class OutlierReport:
 class _Checker:
     """Conditions 1 and 2 on one theory, for one public operation.  Rejects
     an unknown backend, inconsistent facts, the fast backend outside NU/DNU
-    and, when ``op`` names a search, theories outside its scope; ``entails``
-    alone resolves the ``auto`` backend."""
+    and, when ``op`` names a search, theories outside its scope; the
+    entailer alone resolves the ``auto`` backend.  The conditions withdraw
+    facts from the fact masks, which needs the consistent facts checked here."""
 
     def __init__(self, theory: DefaultTheory, strong: bool, backend: str, budget: int, op=None):
         if backend not in (AUTO, EXHAUSTIVE, FAST):
@@ -112,21 +113,21 @@ class _Checker:
     def stats(self) -> SearchStats:
         return SearchStats(self.candidates_examined, self.entailment_calls)
 
-    def cond1(self, s: Iterable[Literal]) -> bool:
+    def cond1(self, s: Collection[Literal]) -> bool:
         """With S withdrawn, the theory entails the negation of S, negated
         lazily and asked in S's order."""
         self.entailment_calls += 1
-        return entails(self.theory.remove_facts(s), map(Literal.negate, s), self.backend, self.budget)
+        return _entails_without(self.theory, s, map(Literal.negate, s), self.backend, self.budget)
 
     def cond2(self, l: LiteralSet, s: LiteralSet, on: Iterable[Literal]) -> bool:
         """With S and L withdrawn, the theory no longer entails the negation
         of S (strong: of any single literal of S).  Only the literals ``on``
         of S are asked: the caller knows the rest stay entailed."""
-        reduced = self.theory.remove_facts(s | l)
+        removed = s | l
         goals = ([x.negate()] for x in on) if self.strong else (map(Literal.negate, on),)
         for goal in goals:
             self.entailment_calls += 1
-            if entails(reduced, goal, self.backend, self.budget):
+            if _entails_without(self.theory, removed, goal, self.backend, self.budget):
                 return False
         return True
 

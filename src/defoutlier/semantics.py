@@ -18,7 +18,9 @@ The search's bitmasks are compiled once per rule base over its letter
 numbering (``core.numbering``), literal bit i being rule letter i and bit
 i + n its negation, so a theory's fact masks give its facts' mask at once;
 a fact on a letter no rule mentions never meets a rule, so every extension
-carries it unchanged.  The fast backend answers
+carries it unchanged.  Entailment with some facts withdrawn, which every
+witness check asks, reads the theory's fact masks less the withdrawn bits
+and builds no variant theory.  The fast backend answers
 skeptical literal queries on normal unary (NU) and dual normal unary (DNU)
 theories in polynomial time by searching for a countermodel extension: it
 grows the set of letters that must be kept non-positive, re-checking
@@ -41,9 +43,10 @@ large seeded random families.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .core import DefaultTheory, Literal, _Immutable, bits, classify, compiled, is_inconsistent, literal_order, numbering
+from .core import DefaultTheory, Literal, _Immutable, bits, classify, compiled, is_inconsistent, letter_mask
+from .core import literal_order, numbering
 from .depgraph import cone_lookup, walk
 from .errors import BudgetExceededError, ScopeError
 
@@ -199,19 +202,30 @@ def _iter_masks(idx: _MaskIndex, w_mask: int, budget: int, skip: int):
         stack.append((e | concl[act], blocked, applied + (act,), refuters | neg_just[act], rules))
 
 
-def _search(theory: DefaultTheory, goal: Iterable[Literal]):
-    """The rule base's masks, the facts' mask and the goal's mask, for
-    consistent facts.  Facts off the rules never meet a rule, so the search
-    leaves them out; a goal literal that is a fact is in every extension and
-    needs no bit, and one neither a fact nor on a rule letter gets ``absent``."""
-    idx = compiled(theory, _MaskIndex)
+def _withdrawn(theory: DefaultTheory, removed: Collection[Literal]) -> tuple[int, int]:
+    """The theory's fact masks less the bits of ``removed``: the fact masks of
+    the theory without those facts, if its facts are consistent."""
     pos, neg = theory.fact_masks()
+    if removed:
+        pos &= ~letter_mask(theory, [l.letter for l in removed if l.positive])
+        neg &= ~letter_mask(theory, [l.letter for l in removed if not l.positive])
+    return pos, neg
+
+
+def _search(theory: DefaultTheory, goal: Iterable[Literal], removed: Collection[Literal] = ()):
+    """The rule base's masks, the facts' mask and the goal's mask, for
+    consistent facts less those in ``removed``.  Facts off the rules never
+    meet a rule, so the search leaves them out; a goal literal that is a
+    fact is in every extension and needs no bit, and one neither a fact nor
+    on a rule letter gets ``absent``."""
+    idx = compiled(theory, _MaskIndex)
+    pos, neg = _withdrawn(theory, removed)
     w_mask = pos | neg << idx.n
     need = 0
     for l in goal:
         if l in idx.lit_id:
             need |= 1 << idx.lit_id[l]
-        elif l not in theory.facts:
+        elif l not in theory.facts or l in removed:
             need |= 1 << idx.absent
     return idx, w_mask, need & ~w_mask
 
@@ -394,19 +408,19 @@ class _NuEntailer:
         return not self._can_all_be_nonpositive(cone, wpos, wneg, self.attackers[x])
 
 
-def _fast_entails(theory: DefaultTheory, goal: Iterable[Literal]) -> bool:
+def _fast_entails(theory: DefaultTheory, removed: Collection[Literal], goal: Iterable[Literal]) -> bool:
     if not theory.consistent_facts():
         return True  # inconsistent facts entail everything, on the cone or off it
     # A DNU rule base is filed with its polarity swapped: a fact is positive
     # there iff its polarity equals ``nu``, and the goal is negated.
     ent = compiled(theory, _NuEntailer)
     ids, cone_of = ent.ids, ent.cone
-    pos, neg = theory.fact_masks()
+    pos, neg = _withdrawn(theory, removed)
     if not ent.nu:
         pos, neg = neg, pos
     for q in goal:
-        if q.letter not in ids:  # no rule reaches it: entailed iff a fact
-            if q not in theory.facts:
+        if q.letter not in ids:  # no rule reaches it: entailed iff a fact not withdrawn
+            if q not in theory.facts or q in removed:
                 return False
             continue
         cone = cone_of(q.letter)
@@ -429,16 +443,25 @@ def entails(
     read once, so an iterator will do; the fast backend stops reading it at
     the first literal not entailed.
     """
+    return _entails_without(theory, (), goal, backend, budget)
+
+
+def _entails_without(
+    theory: DefaultTheory, removed: Collection[Literal], goal: Iterable[Literal], backend: str, budget: int
+) -> bool:
+    """``entails`` on the theory without the facts in ``removed``, read off
+    its fact masks less their bits (``_withdrawn``), so a nonempty
+    ``removed`` requires consistent facts."""
     if backend in (AUTO, FAST):
         frag = classify(theory)
         if frag.is_nu or frag.is_dnu:
-            return _fast_entails(theory, goal)
+            return _fast_entails(theory, removed, goal)
         if backend == FAST:
             raise ScopeError("fast backend requires an NU or DNU theory")
     elif backend != EXHAUSTIVE:
         raise ValueError(f"unknown backend {backend!r}")
     if not theory.consistent_facts():
         return True
-    idx, w_mask, need = _search(theory, goal)
+    idx, w_mask, need = _search(theory, goal, removed)
     # A subtree whose E holds the goal holds no counterexample.
     return not need or all(e & need == need for e, _ in _iter_masks(idx, w_mask, budget, need))

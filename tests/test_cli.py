@@ -66,6 +66,7 @@ def test_malformed_literal_lists_exit_2(capsys, credit_file):
     for argv in (
         ["entails", "--goal=b c"],
         ["entails", "--goal=--b"],
+        ["entails", "--goal=\xa0CreditNumber"],  # a blank the text format rejects
         ["entails", "--goal=CreditNumber,-"],
         ["witness", "--L", "Credit|Number", "--S", "MultipleIPs"],
         ["witness", "--L", "CreditNumber", "--S", "1MultipleIPs"],

@@ -34,7 +34,7 @@ from defoutlier import (
     theory_to_text,
     tightness,
 )
-from defoutlier import core, oracles
+from defoutlier import core, oracles, semantics
 from defoutlier.core import lett, normal_rule, rule
 from conftest import CELLPHONE
 
@@ -72,6 +72,10 @@ def test_letters_the_text_format_cannot_write_are_rejected():
     with pytest.raises(ValueError):
         normal_rule("b c", "d")
     assert lit(" - _a1 ") == Literal("_a1", False)
+    assert lit("\t-\r\nb\n") == Literal("b", False)
+    for text in ("\xa0a", "-\x0cb", "c\u3000", "\va", "- \x85b"):  # blanks the text format rejects
+        with pytest.raises(ValueError):
+            lit(text)
     with pytest.raises(ValueError, match="'b c'"):
         theory_to_text(DefaultTheory([], [Literal("b c")]))
     odd = frozenset([Literal("x-y")])
@@ -574,18 +578,6 @@ def test_rule_base_takes_no_part_in_equality(cellphone):
 # ---------------------------------------------------------------------------
 
 
-def test_remove_facts_keeps_a_known_consistent_mark(cellphone, monkeypatch):
-    assert cellphone.consistent_facts()
-    calls = []
-    real = core.is_inconsistent
-    monkeypatch.setattr(core, "is_inconsistent", lambda ls: calls.append(ls) or real(ls))
-    variant = cellphone.remove_facts(lits("CellUse")).remove_facts(lits("MfC", "-MfC"))
-    assert variant.consistent_facts()
-    assert calls == []
-    assert cellphone.with_facts(cellphone.facts).consistent_facts()
-    assert len(calls) == 1
-
-
 def test_with_facts_never_inherits_the_mark(cellphone):
     assert cellphone.consistent_facts()
     bad = cellphone.with_facts(cellphone.facts | lits("z", "-z"))
@@ -621,8 +613,6 @@ def test_fact_index_of_a_variant_matches_a_fresh_theory(facts, removed, index):
     before = parent.fact_masks()
     variant = parent.remove_facts(lits(*removed))
     rebuilt = parent.with_facts(variant.facts)
-    # remove_facts hands masks on from consistent facts; inconsistent ones decide again
-    assert (variant._masks is not None) == parent.consistent_facts()
     assert parent.fact_masks() == before
     assert rebuilt._masks is None and rebuilt._consistent is None  # with_facts inherits neither
     fresh = DefaultTheory(FACT_INDEX_RULES, variant.facts)
@@ -644,7 +634,8 @@ def test_fact_index_of_a_variant_matches_a_fresh_theory(facts, removed, index):
 @example(lits("a", "-c", "e"), lits("-a"), lits("e", "-c"))  # removing -a leaves the fact a
 def test_fact_index_survives_chains_of_removals(facts, first, second):
     # After one and after two withdrawals, on the NU rules and on their DNU
-    # dual, a variant reads like a fresh theory with its facts.
+    # dual, a variant reads like a fresh theory with its facts, and so do the
+    # witness checks' entailments on the parent's masks less the withdrawn bits.
     letters = [Literal(x, p) for x in "abcdef" for p in (True, False)]
     for rules in (FACT_INDEX_RULES, dualize(DefaultTheory(FACT_INDEX_RULES, ())).defaults):
         t = DefaultTheory(rules, facts)
@@ -660,6 +651,10 @@ def test_fact_index_survives_chains_of_removals(facts, first, second):
                 assert variant.facts_on(-1) == fresh.facts_on(-1)
             for q in letters:
                 assert entails(variant, [q], FAST) == entails(variant, [q], EXHAUSTIVE) == entails(fresh, [q]), q
+                if t.consistent_facts():  # a withdrawal from the masks needs consistent facts
+                    for backend in (FAST, EXHAUSTIVE):
+                        got = semantics._entails_without(t, withdrawn, [q], backend, semantics.DEFAULT_BUDGET)
+                        assert got == entails(fresh, [q]), (q, backend)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,6 +7,9 @@ differs names what changed, and ``--lines`` prints its raw lines to diff::
     python3 tools/differential.py
     python3 tools/differential.py --lines cli > cli.txt
 
+``tools/differential.digests`` holds the digests the committed code prints,
+and CI fails when the output differs from it.
+
 Every literal set is printed sorted by ``literal_order``, so the output does
 not depend on ``PYTHONHASHSEED``.  It imports ``defoutlier`` from the
 checkout's own ``src/`` and uses the standard library only.
